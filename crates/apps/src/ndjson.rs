@@ -1,391 +1,16 @@
-//! Minimal newline-delimited JSON support for `mmsec serve`.
+//! The serving protocol's NDJSON codec: one flat JSON object per line.
 //!
-//! The serving protocol only ever exchanges *flat* JSON objects — string
-//! or numeric fields, no nesting, no arrays — so this module hand-rolls
-//! exactly that subset instead of pulling in a serialization framework:
-//! [`parse_object`] reads one `{"k": v, ...}` line, [`ObjWriter`] builds
-//! one. Unknown fields are preserved by the parser so callers can choose
-//! to ignore or reject them.
+//! This is the flat path of the workspace's one JSON codec,
+//! [`mmsec_platform::obs::json`], re-exported under the protocol's names:
+//! [`parse_object_into`] reads one `{"k": v, ...}` line into a recycled
+//! [`ObjBuf`], [`ObjWriter`] builds one, and a field value is a [`Value`]
+//! (the codec's `Json`; protocol lines only carry its scalar variants).
+//! Unknown fields are preserved by the parser so callers can choose to
+//! ignore or reject them.
 
-use std::fmt::Write as _;
-
-/// A scalar JSON value (the protocol never nests).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (always parsed as `f64`).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-}
-
-impl Value {
-    /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Reusable storage for [`parse_object_into`]: the pair vector *and* the
-/// key/value strings of previous lines are recycled, so parsing a stream
-/// of records with the same shape (e.g. the all-numeric `mmsec serve`
-/// submission lines) allocates nothing after the first line.
-#[derive(Debug, Default)]
-pub struct ObjBuf {
-    pairs: Vec<(String, Value)>,
-    len: usize,
-}
-
-impl ObjBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        ObjBuf::default()
-    }
-
-    /// The fields of the most recently parsed object.
-    pub fn fields(&self) -> &[(String, Value)] {
-        &self.pairs[..self.len]
-    }
-
-    /// Hands out the next recycled slot (or grows by one) and marks it
-    /// live. The key string arrives cleared.
-    fn next_slot(&mut self) -> &mut (String, Value) {
-        if self.len == self.pairs.len() {
-            self.pairs.push((String::new(), Value::Null));
-        }
-        let slot = &mut self.pairs[self.len];
-        slot.0.clear();
-        self.len += 1;
-        slot
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    /// Parses a JSON string into `out` (cleared first), reusing its
-    /// capacity.
-    fn string_into(&mut self, out: &mut String) -> Result<(), String> {
-        self.expect(b'"')?;
-        out.clear();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(()),
-                b'\\' => {
-                    let Some(&e) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex}"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are outside the protocol's
-                            // needs; reject rather than mis-decode.
-                            let c = char::from_u32(code)
-                                .ok_or(format!("\\u{hex} is not a scalar value"))?;
-                            out.push(c);
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the raw byte run through.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && !matches!(self.bytes[end], b'"' | b'\\') {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    /// Parses a JSON scalar into `slot`. A string value re-fills the
-    /// slot's existing `Value::Str` in place when there is one, so a
-    /// recycled slot of the same shape costs no allocation.
-    fn value_into(&mut self, slot: &mut Value) -> Result<(), String> {
-        match self.peek() {
-            Some(b'"') => {
-                if !matches!(slot, Value::Str(_)) {
-                    *slot = Value::Str(String::new());
-                }
-                let Value::Str(s) = slot else { unreachable!() };
-                self.string_into(s)
-            }
-            Some(b't') => self.literal("true", slot, Value::Bool(true)),
-            Some(b'f') => self.literal("false", slot, Value::Bool(false)),
-            Some(b'n') => self.literal("null", slot, Value::Null),
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                while self
-                    .bytes
-                    .get(self.pos)
-                    .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-                {
-                    self.pos += 1;
-                }
-                let text =
-                    std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number run");
-                let x: f64 = text.parse().map_err(|_| format!("bad number {text:?}"))?;
-                if !x.is_finite() {
-                    return Err(format!("non-finite number {text:?}"));
-                }
-                *slot = Value::Num(x);
-                Ok(())
-            }
-            Some(b'{' | b'[') => Err("nested values are not supported".into()),
-            _ => Err(format!("expected a value at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, slot: &mut Value, v: Value) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            *slot = v;
-            Ok(())
-        } else {
-            Err(format!("expected {lit} at byte {}", self.pos))
-        }
-    }
-}
-
-/// Parses one flat JSON object (`{"key": scalar, ...}`) into `buf`,
-/// recycling its storage. Duplicate keys keep their last value, matching
-/// common JSON parser behavior. On error the buffer reads as empty.
-pub fn parse_object_into(line: &str, buf: &mut ObjBuf) -> Result<(), String> {
-    let r = parse_into_inner(line, buf);
-    if r.is_err() {
-        buf.len = 0;
-    }
-    r
-}
-
-fn parse_into_inner(line: &str, buf: &mut ObjBuf) -> Result<(), String> {
-    buf.len = 0;
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.expect(b'{')?;
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            // Read the key into the next recycled slot, then fold
-            // duplicates back onto their first occurrence.
-            let slot = buf.next_slot();
-            p.string_into(&mut slot.0)?;
-            p.expect(b':')?;
-            let live = buf.len - 1;
-            let dup = buf.pairs[..live]
-                .iter()
-                .position(|(k, _)| *k == buf.pairs[live].0);
-            let target = match dup {
-                Some(i) => {
-                    buf.len = live;
-                    i
-                }
-                None => live,
-            };
-            p.value_into(&mut buf.pairs[target].1)?;
-            match p.peek() {
-                Some(b',') => p.pos += 1,
-                Some(b'}') => {
-                    p.pos += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", p.pos)),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing input at byte {}", p.pos));
-    }
-    Ok(())
-}
-
-/// Parses one flat JSON object into a fresh vector. Convenience wrapper
-/// over [`parse_object_into`] for one-shot callers and tests.
-pub fn parse_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut buf = ObjBuf::new();
-    parse_object_into(line, &mut buf)?;
-    buf.pairs.truncate(buf.len);
-    Ok(buf.pairs)
-}
-
-/// Escapes `s` as JSON string *contents* (no surrounding quotes),
-/// appending to `out`.
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Escapes `s` as JSON string *contents* (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
-}
-
-/// Builds one flat JSON object incrementally.
-#[derive(Debug)]
-pub struct ObjWriter {
-    buf: String,
-    first: bool,
-}
-
-impl ObjWriter {
-    /// Starts an object with a `"type"` discriminator field — every
-    /// record in the serving protocol leads with one.
-    pub fn typed(kind: &str) -> Self {
-        let mut w = ObjWriter {
-            buf: String::new(),
-            first: true,
-        };
-        w.reset(kind);
-        w
-    }
-
-    /// Restarts the writer on a fresh `"type"`-led object, reusing the
-    /// buffer — a record-emitting loop pays no per-record allocation.
-    pub fn reset(&mut self, kind: &str) -> &mut Self {
-        self.buf.clear();
-        self.buf.push('{');
-        self.first = true;
-        self.str_field("type", kind)
-    }
-
-    fn sep(&mut self, key: &str) {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        self.buf.push('"');
-        escape_into(&mut self.buf, key);
-        self.buf.push_str("\":");
-    }
-
-    /// Appends a numeric field. Non-finite values serialize as `null`
-    /// (JSON has no NaN/inf).
-    pub fn num_field(&mut self, key: &str, x: f64) -> &mut Self {
-        self.sep(key);
-        if x.is_finite() {
-            // Shortest roundtrip form, integer-like values without ".0".
-            if x == x.trunc() && x.abs() < 1e15 {
-                let _ = write!(self.buf, "{}", x as i64);
-            } else {
-                let _ = write!(self.buf, "{x}");
-            }
-        } else {
-            self.buf.push_str("null");
-        }
-        self
-    }
-
-    /// Appends a string field.
-    pub fn str_field(&mut self, key: &str, s: &str) -> &mut Self {
-        self.sep(key);
-        self.buf.push('"');
-        escape_into(&mut self.buf, s);
-        self.buf.push('"');
-        self
-    }
-
-    /// Closes the object in place and returns the line (no trailing
-    /// newline). The buffer stays owned by the writer: call
-    /// [`ObjWriter::reset`] to start the next record with zero
-    /// allocations. Calling `close` twice without a reset would emit a
-    /// malformed record — the borrow it returns makes that hard to do by
-    /// accident.
-    pub fn close(&mut self) -> &str {
-        self.buf.push('}');
-        &self.buf
-    }
-
-    /// Closes the object and returns the line (no trailing newline).
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
+pub use mmsec_platform::obs::json::{
+    parse_object, parse_object_into, Json as Value, ObjBuf, ObjWriter,
+};
 
 #[cfg(test)]
 mod tests {
@@ -457,5 +82,51 @@ mod tests {
         // Raw multi-byte UTF-8 passes through untouched too.
         let got = parse_object(r#"{"s": "café"}"#).unwrap();
         assert_eq!(got[0].1, Value::Str("café".into()));
+    }
+
+    #[test]
+    fn line_verdicts_and_error_text_are_pinned() {
+        // The error text is protocol: it lands in the `error` field of
+        // `reject` records. `Ok(n)` is an accepted line with n fields.
+        let table: &[(&str, Result<usize, &str>)] = &[
+            ("", Err("expected '{' at byte 0")),
+            ("definitely not json", Err("expected '{' at byte 0")),
+            ("[1, 2]", Err("expected '{' at byte 0")),
+            ("{", Err("expected '\"' at byte 1")),
+            ("{a: 1}", Err("expected '\"' at byte 1")),
+            (r#"{"a": }"#, Err("expected a value at byte 6")),
+            (r#"{"a": NaN}"#, Err("expected a value at byte 6")),
+            (r#"{"a": 1,}"#, Err("expected '\"' at byte 8")),
+            (r#"{"a" 1}"#, Err("expected ':' at byte 5")),
+            (r#"{"a": 1 "b": 2}"#, Err("expected ',' or '}' at byte 8")),
+            (r#"{"a": 1} trailing"#, Err("trailing input at byte 9")),
+            (r#"{"a": {"b": 1}}"#, Err("nested values are not supported")),
+            (r#"{"a": [1]}"#, Err("nested values are not supported")),
+            (r#"{"a": 1e999}"#, Err("non-finite number \"1e999\"")),
+            (r#"{"a": 1-2}"#, Err("bad number \"1-2\"")),
+            (r#"{"a": -}"#, Err("bad number \"-\"")),
+            (r#"{"a": tru}"#, Err("expected true at byte 6")),
+            (r#"{"a": "x}"#, Err("unterminated string")),
+            (r#"{"a": "x\"#, Err("unterminated escape")),
+            (r#"{"a": "\q"}"#, Err("bad escape \\q")),
+            (r#"{"a": "\u00"#, Err("truncated \\u escape")),
+            (r#"{"a": "\u12"}"#, Err("bad \\u escape 12\"}")),
+            (r#"{"a": "\ud800"}"#, Err("\\ud800 is not a scalar value")),
+            (" { } ", Ok(0)),
+            (r#"{"a": 1, "a": 2}"#, Ok(1)),
+            ("{\"a\": \"raw\ttab\"}", Ok(1)),
+            // `u32::from_str_radix` lets a sign into a `\u` escape.
+            (r#"{"a": "\u+041"}"#, Ok(1)),
+            (
+                r#"{"n": -0.5e-3, "s": "café", "t": true, "z": null}"#,
+                Ok(4),
+            ),
+        ];
+        for &(line, want) in table {
+            let got = parse_object(line)
+                .map(|fields| fields.len())
+                .map_err(|e| e.to_string());
+            assert_eq!(got, want.map_err(str::to_string), "line {line:?}");
+        }
     }
 }

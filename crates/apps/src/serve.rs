@@ -840,7 +840,7 @@ impl<'a> Lane<'a> {
         }
 
         let req = match parsed
-            .map_err(|why| Reject::bare("parse-error", why))
+            .map_err(|why| Reject::bare("parse-error", why.0))
             .and_then(|()| parse_submit(self.fields.fields()))
         {
             Ok(req) => req,

@@ -1,9 +1,7 @@
-//! Load-generation plumbing for the sharded serve saturation benchmark:
-//! deterministic NDJSON workload scripts (tenant mix, release schedule)
-//! and latency aggregation (p50/p99 over admission-to-completion wall
-//! times). The `mmsec-load` binary (in `mmsec-apps`) drives a live
-//! socket server with these pieces; keeping the logic here keeps it unit
-//! -testable without a socket.
+//! Deterministic multi-tenant NDJSON job scripts (tenant mix, per-tenant
+//! release schedule) for driving a sharded `mmsec serve --listen` socket
+//! server. Both serve workloads of the repository benchmark
+//! (`perfbench/README.md`) build their traffic on these scripts.
 //!
 //! Gap and work draws come from `mmsec-workload`'s [`Dist`] toolkit (the
 //! same exponential every batch generator uses) rather than a private
@@ -45,18 +43,13 @@ impl Default for LoadPlan {
     }
 }
 
-/// One scripted submission line, plus the key a client needs to join the
-/// server's `admit`/`completion` records back to it: the tenant and the
-/// tenant-local line number (per-tenant lanes number their own lines
-/// from 1).
+/// One scripted submission line and the tenant it belongs to.
 #[derive(Clone, Debug)]
 pub struct ScriptedJob {
     /// The NDJSON line to send, newline-terminated.
     pub line: String,
     /// Tenant index (tenant name is `t{index}`).
     pub tenant: usize,
-    /// 1-based line number within this tenant's lane.
-    pub lane_line: usize,
 }
 
 /// Generates the full deterministic script for `plan`. Releases are
@@ -69,14 +62,12 @@ pub fn script(plan: &LoadPlan) -> Vec<ScriptedJob> {
     let gap_dist = Dist::exponential(plan.mean_gap);
     let work_dist = Dist::exponential(plan.mean_work);
     let mut clocks = vec![0.0f64; plan.tenants];
-    let mut lane_lines = vec![0usize; plan.tenants];
     let mut out = Vec::with_capacity(plan.jobs);
     for i in 0..plan.jobs {
         let tenant = i % plan.tenants;
         let gap = gap_dist.sample(&mut rng);
         let work = work_dist.sample(&mut rng).max(0.01);
         clocks[tenant] += gap;
-        lane_lines[tenant] += 1;
         let origin = rng.gen_range(0..plan.edges);
         let mut line = String::with_capacity(96);
         let _ = writeln!(
@@ -85,57 +76,9 @@ pub fn script(plan: &LoadPlan) -> Vec<ScriptedJob> {
              \"work\": {:.4}}}",
             clocks[tenant], work
         );
-        out.push(ScriptedJob {
-            line,
-            tenant,
-            lane_line: lane_lines[tenant],
-        });
+        out.push(ScriptedJob { line, tenant });
     }
     out
-}
-
-/// Streaming latency aggregator: records admission-to-completion wall
-/// latencies and reports quantiles without keeping the stream sorted.
-#[derive(Clone, Debug, Default)]
-pub struct LatencyStats {
-    samples: Vec<f64>,
-}
-
-impl LatencyStats {
-    /// An empty aggregator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one latency sample in seconds.
-    pub fn record(&mut self, seconds: f64) {
-        if seconds.is_finite() && seconds >= 0.0 {
-            self.samples.push(seconds);
-        }
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank on the sorted
-    /// samples; `None` when empty.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        self.samples
-            .sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        let rank = ((q.clamp(0.0, 1.0) * self.samples.len() as f64).ceil() as usize)
-            .clamp(1, self.samples.len());
-        Some(self.samples[rank - 1])
-    }
 }
 
 #[cfg(test)]
@@ -155,13 +98,10 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.line, y.line);
         }
-        // Per-tenant releases are non-decreasing and lane lines count up.
+        // Per-tenant releases are non-decreasing.
         for t in 0..5 {
             let mine: Vec<_> = a.iter().filter(|j| j.tenant == t).collect();
             assert_eq!(mine.len(), 40);
-            for (i, j) in mine.iter().enumerate() {
-                assert_eq!(j.lane_line, i + 1);
-            }
             let releases: Vec<f64> = mine
                 .iter()
                 .map(|j| {
@@ -172,19 +112,5 @@ mod tests {
                 .collect();
             assert!(releases.windows(2).all(|w| w[0] <= w[1]));
         }
-    }
-
-    #[test]
-    fn quantiles_use_nearest_rank() {
-        let mut stats = LatencyStats::new();
-        for x in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            stats.record(x);
-        }
-        assert_eq!(stats.len(), 5);
-        assert_eq!(stats.quantile(0.0), Some(1.0));
-        assert_eq!(stats.quantile(0.5), Some(3.0));
-        assert_eq!(stats.quantile(0.99), Some(5.0));
-        assert_eq!(stats.quantile(1.0), Some(5.0));
-        assert_eq!(LatencyStats::new().quantile(0.5), None);
     }
 }

@@ -15,7 +15,7 @@
 
 use mmsec_platform::projection::{Forecast, Projection};
 use mmsec_platform::resource::{ResourceId, ResourceMap};
-use mmsec_platform::{CloudId, EdgeId, Job, JobId, JobState, Phase, SimView, Target};
+use mmsec_platform::{CloudId, Job, JobId, JobState, Phase, SimView, Target};
 use mmsec_sim::time::approx;
 use mmsec_sim::Time;
 use std::cell::Cell;
@@ -46,9 +46,8 @@ pub fn first_phase(view: &SimView<'_>, id: JobId, target: Target) -> Option<Phas
 }
 
 /// Cross-job interference scope of one claim, recorded so later pops can
-/// prove a cached [`StartOption`] survived it (see
-/// [`RoundState::exact_since`]) or repair it against only what the claim
-/// actually wrote (see [`RoundState::refresh_option`]).
+/// repair a cached [`StartOption`] against only what the claim actually
+/// wrote (see [`RoundState::refresh_option`]).
 ///
 /// Outside its own origin edge, a claim writes exactly two places: the
 /// profiles/busy marks of its target cloud (`cloud`), and the backlog of
@@ -136,7 +135,7 @@ pub struct RoundState {
     /// so `reset` zeroes only those.
     backlog_cpus: Vec<ResourceId>,
     /// One entry per claim this round, in claim order (`claim_log.len()
-    /// == claims`): the interference scope consulted by `exact_since`.
+    /// == claims`): the interference scope consulted by `refresh_option`.
     claim_log: Vec<ClaimScope>,
     /// Number of claims applied this round. Doubles as a staleness tag:
     /// a [`StartOption`] computed at claim count `c` is exactly current
@@ -608,25 +607,6 @@ impl RoundState {
     /// `c` is exact for as long as the count remains `c`.
     pub fn claim_count(&self) -> u32 {
         self.claims
-    }
-
-    /// True iff a [`StartOption`] computed for a job originating at
-    /// `origin` when the claim count was `tag` is still *exactly* what
-    /// [`Self::best_startable`] would return now.
-    ///
-    /// Trivially true when nothing was claimed since. Otherwise it holds
-    /// when every intervening claim was edge-confined (`ClaimScope`) on a
-    /// *different* edge: such a claim's entire write set — busy mark,
-    /// profile move, dirt bit, and backlog retirement, all on
-    /// `EdgeCpu(other)` — is disjoint from everything a best-startable
-    /// call for an `origin` job reads (its own edge's CPU and ports, its
-    /// committed target, and the touched-cloud scan, whose membership an
-    /// edge claim never changes). Cloud claims never qualify: they touch
-    /// their cloud, and the scan of *every* job visits touched clouds.
-    pub fn exact_since(&self, tag: u32, origin: EdgeId) -> bool {
-        self.claim_log[tag as usize..]
-            .iter()
-            .all(|c| c.origin != origin.0 && c.cloud.is_none() && c.retired_cloud.is_none())
     }
 
     /// Refreshes a [`StartOption`] cached at claim count `tag`: returns

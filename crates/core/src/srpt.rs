@@ -225,8 +225,8 @@ mod tests {
 
     /// Reference SRPT: the identical selection loop, but every popped
     /// entry is recomputed unconditionally — no claim-count tag, no
-    /// claim-log exemption. The production policy's caching must be
-    /// invisible against it.
+    /// `refresh_option` delta repair. The production policy's caching
+    /// must be invisible against it.
     struct SrptNaive {
         round: Option<RoundState>,
     }
@@ -315,7 +315,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
             /// End-to-end schedule equality: the lazy heap with the
-            /// claim-count tag and the claim-log staleness exemption
+            /// claim-count tag and the `refresh_option` delta repair
             /// versus the recompute-every-pop reference.
             #[test]
             fn caching_matches_naive_recompute(inst in arb_instance()) {

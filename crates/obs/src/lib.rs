@@ -27,6 +27,10 @@
 //! shared fixed-bucket [`Log2Histogram`]s (the same type every other
 //! distribution here uses).
 //!
+//! The crate also hosts the workspace's one JSON codec ([`json`]): the
+//! document writer behind these outputs and the zero-allocation
+//! one-object-per-line path of the serving protocol.
+//!
 //! With the `tracing` feature enabled, `forward_to_tracing` additionally
 //! mirrors events to `tracing` subscribers.
 

@@ -10,8 +10,7 @@
 //! (edge → fog → … → cloud chain with per-hop link-time factors, ROADMAP
 //! item 3); a spec without one is the paper's *flat* platform, which is
 //! bit-identical to a one-tier topology with unit hop factors. Specs are
-//! built with [`PlatformSpec::builder`]; the positional constructors
-//! remain as thin deprecated wrappers for one release.
+//! built with [`PlatformSpec::builder`].
 
 use crate::tier::TierTopology;
 use mmsec_sim::{Interval, IntervalSet};
@@ -124,38 +123,8 @@ impl PlatformSpec {
         SpecBuilder::default()
     }
 
-    /// Paper platform: edge units with the given speeds and `num_cloud`
-    /// homogeneous cloud processors at speed 1.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use PlatformSpec::builder().edges(..).cloud_pool(n).build()"
-    )]
-    pub fn homogeneous_cloud(edge_speeds: Vec<f64>, num_cloud: usize) -> Self {
-        Self::from_parts(edge_speeds, vec![1.0; num_cloud], None)
-    }
-
-    /// Extension platform with explicit per-cloud speeds (§II notes all
-    /// algorithms extend straightforwardly to a fully heterogeneous
-    /// platform).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use PlatformSpec::builder().edges(..).clouds(..).build()"
-    )]
-    pub fn heterogeneous(edge_speeds: Vec<f64>, cloud_speeds: Vec<f64>) -> Self {
-        Self::from_parts(edge_speeds, cloud_speeds, None)
-    }
-
-    /// The one validated construction path (builder and wrappers both end
-    /// here). Panics on an invalid spec, like the historical constructors.
-    pub(crate) fn from_parts(
-        edge_speeds: Vec<f64>,
-        cloud_speeds: Vec<f64>,
-        tiers: Option<TierTopology>,
-    ) -> Self {
-        Self::try_from_parts(edge_speeds, cloud_speeds, tiers).expect("invalid platform spec")
-    }
-
-    /// Fallible [`PlatformSpec::from_parts`].
+    /// The one validated construction path: the builder and the instance
+    /// parser both end here.
     pub(crate) fn try_from_parts(
         edge_speeds: Vec<f64>,
         cloud_speeds: Vec<f64>,
@@ -576,21 +545,6 @@ mod tests {
         assert!(!spec.is_cloud_homogeneous());
         assert_eq!(spec.max_cloud_speed(), 2.0);
         assert_eq!(spec.cloud_speed(CloudId(1)), 2.0);
-    }
-
-    #[test]
-    fn deprecated_wrappers_match_builder() {
-        #[allow(deprecated)]
-        let old = PlatformSpec::homogeneous_cloud(vec![0.5, 0.1], 2);
-        let new = PlatformSpec::builder()
-            .edges([0.5, 0.1])
-            .cloud_pool(2)
-            .build();
-        assert_eq!(old, new);
-        #[allow(deprecated)]
-        let old = PlatformSpec::heterogeneous(vec![0.5], vec![1.0, 2.0]);
-        let new = PlatformSpec::builder().edge(0.5).clouds([1.0, 2.0]).build();
-        assert_eq!(old, new);
     }
 
     #[test]

@@ -14,18 +14,6 @@
 //!   markdown report for CI artifact upload, and appends it to
 //!   `$GITHUB_STEP_SUMMARY` when set so the delta table shows up on the
 //!   GitHub Actions job summary page.
-//!
-//! - `saturate` — boot the sharded socket server (`mmsec serve
-//!   --listen unix:… --shards N --once`) on a throwaway platform, drive
-//!   it with the `mmsec-load` generator, and verify the accounting
-//!   identity (admitted + shed + rejected == submitted). Reports
-//!   sustained jobs/sec, shed rate, and p99 admission-to-completion
-//!   latency; gates throughput against the committed `serve/` baseline
-//!   entries (higher is better — a >tolerance *drop* fails) and, with
-//!   `--record`, rewrites those entries in `BENCH_BASELINE.json` while
-//!   preserving the `micro/` ones. Knobs: `--shards N` (default 8),
-//!   `--jobs N` (default 1,000,000), `--tenants N` (default 16). CI's
-//!   saturation-smoke job runs `--shards 4 --jobs 50000`.
 //! - `obs-report` — render a `mmsec run --profile` phase-profile JSON
 //!   (`--profile PATH`) as a markdown table: per-phase counts, totals,
 //!   wall-time shares, and latency percentiles.
@@ -45,34 +33,28 @@
 //! keep the raw JSONL feed. `bench-check` additionally accepts
 //! `--tolerance FRAC` (e.g. `0.25`) and `--report PATH`; every
 //! report-producing task appends to `$GITHUB_STEP_SUMMARY` when set.
+//!
+//! Served throughput and latency are not measured here: the repository
+//! benchmark (`BENCHMARK.json`, see `perfbench/README.md`) drives the
+//! socket server open-loop and reports them at a stated p99 bound.
 
+use mmsec_obs::json::{self, Json};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
-use std::time::{Duration, Instant};
 
 const BASELINE_FILE: &str = "BENCH_BASELINE.json";
+const BASELINE_SCHEMA: &str = "mmsec-bench-baseline/1";
 const DEFAULT_WINDOW_MS: u64 = 150;
 const DEFAULT_TOLERANCE: f64 = 0.25;
 const DEFAULT_RUNS: u32 = 3;
 const DEFAULT_OBS_BUDGET: f64 = 0.50;
-const DEFAULT_SHARDS: u64 = 8;
-const DEFAULT_LOAD_JOBS: u64 = 1_000_000;
-const DEFAULT_LOAD_TENANTS: u64 = 16;
-/// Baseline names in this group are produced by `saturate`, not the
-/// micro suite: `bench-check` skips them, and `compare` inverts the
-/// regression direction for them (throughput: higher is better).
-const SERVE_GROUP_PREFIX: &str = "serve/";
-/// The one `serve/` entry the saturate gate compares; the shed/latency
-/// entries ride along in the baseline for tracking only.
-const SERVE_GATED_BENCH: &str = "serve/saturate_jobs_per_sec";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(task) = args.first() else {
         eprintln!(
-            "usage: cargo xtask <bench-baseline|bench-check|saturate|obs-report|obs-overhead> \
-             [options]"
+            "usage: cargo xtask <bench-baseline|bench-check|obs-report|obs-overhead> [options]"
         );
         return ExitCode::from(2);
     };
@@ -86,13 +68,12 @@ fn main() -> ExitCode {
     let result = match task.as_str() {
         "bench-baseline" => bench_baseline(&opts),
         "bench-check" => bench_check(&opts),
-        "saturate" => saturate(&opts),
         "obs-report" => obs_report(&opts),
         "obs-overhead" => obs_overhead(&opts),
         other => {
             eprintln!(
                 "unknown task `{other}`; tasks: bench-baseline, bench-check, \
-                 saturate, obs-report, obs-overhead"
+                 obs-report, obs-overhead"
             );
             return ExitCode::from(2);
         }
@@ -115,10 +96,6 @@ struct Options {
     json: Option<PathBuf>,
     report: Option<PathBuf>,
     profile: Option<PathBuf>,
-    shards: u64,
-    jobs: u64,
-    tenants: u64,
-    record: bool,
 }
 
 impl Options {
@@ -131,10 +108,6 @@ impl Options {
             json: None,
             report: None,
             profile: None,
-            shards: DEFAULT_SHARDS,
-            jobs: DEFAULT_LOAD_JOBS,
-            tenants: DEFAULT_LOAD_TENANTS,
-            record: false,
         };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -173,31 +146,6 @@ impl Options {
                         return Err("--budget must be positive".into());
                     }
                 }
-                "--shards" => {
-                    opts.shards = value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?;
-                    if opts.shards == 0 {
-                        return Err("--shards must be at least 1".into());
-                    }
-                }
-                "--jobs" => {
-                    opts.jobs = value("--jobs")?
-                        .parse()
-                        .map_err(|e| format!("--jobs: {e}"))?;
-                    if opts.jobs == 0 {
-                        return Err("--jobs must be at least 1".into());
-                    }
-                }
-                "--tenants" => {
-                    opts.tenants = value("--tenants")?
-                        .parse()
-                        .map_err(|e| format!("--tenants: {e}"))?;
-                    if opts.tenants == 0 {
-                        return Err("--tenants must be at least 1".into());
-                    }
-                }
-                "--record" => opts.record = true,
                 "--json" => opts.json = Some(PathBuf::from(value("--json")?)),
                 "--report" => opts.report = Some(PathBuf::from(value("--report")?)),
                 "--profile" => opts.profile = Some(PathBuf::from(value("--profile")?)),
@@ -266,97 +214,77 @@ fn run_micro_suite(root: &Path, opts: &Options) -> Result<BTreeMap<String, u64>,
     Ok(means)
 }
 
-/// Extracts `name -> median_ns` from the compat-criterion JSONL feed.
-/// Hand-rolled (no serde in this workspace); tolerant of unknown keys.
-/// The per-pass *median* (robust to in-pass contention spikes) is used
-/// rather than the mean; duplicate names (multiple suite passes appended
-/// to one feed) keep the minimum — see the rationale in
-/// [`run_micro_suite`].
+/// Extracts `name -> median_ns` from the compat-criterion JSONL feed,
+/// skipping lines that are not such records. The per-pass *median*
+/// (robust to in-pass contention spikes) is used rather than the mean;
+/// duplicate names (multiple suite passes appended to one feed) keep the
+/// minimum — see the rationale in [`run_micro_suite`].
 fn parse_jsonl(text: &str) -> BTreeMap<String, u64> {
     let mut out: BTreeMap<String, u64> = BTreeMap::new();
     for line in text.lines() {
-        let Some(name) = extract_str(line, "name") else {
+        let Ok(rec) = json::parse(line) else {
             continue;
         };
-        let Some(ns) = extract_u64(line, "median_ns") else {
+        let (Some(name), Some(ns)) = (
+            rec.get("name").and_then(Json::as_str),
+            rec.get("median_ns").and_then(Json::as_f64),
+        ) else {
             continue;
         };
-        out.entry(name)
+        let ns = ns as u64;
+        out.entry(name.to_string())
             .and_modify(|m| *m = (*m).min(ns))
             .or_insert(ns);
     }
     out
 }
 
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    let mut value = String::new();
-    let mut chars = rest.chars();
-    while let Some(ch) = chars.next() {
-        match ch {
-            '"' => return Some(value),
-            '\\' => value.push(chars.next()?),
-            other => value.push(other),
-        }
-    }
-    None
-}
-
-fn extract_u64(line: &str, key: &str) -> Option<u64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
+/// Renders the baseline document: the measurement window and each
+/// bench's timing in ns.
+fn write_baseline(window_ms: u64, means: &BTreeMap<String, u64>) -> String {
+    let benches = means
+        .iter()
+        .map(|(name, &ns)| (name.clone(), Json::Num(ns as f64)))
         .collect();
-    digits.parse().ok()
+    Json::obj(vec![
+        ("schema", Json::str(BASELINE_SCHEMA)),
+        ("window_ms", Json::Num(window_ms as f64)),
+        ("benches", Json::Obj(benches)),
+    ])
+    .to_string_pretty()
 }
 
-fn write_baseline(
-    path: &Path,
-    window_ms: u64,
-    means: &BTreeMap<String, u64>,
-) -> std::io::Result<()> {
-    let mut text = String::from("{\n");
-    text.push_str("  \"schema\": \"mmsec-bench-baseline/1\",\n");
-    text.push_str(&format!("  \"window_ms\": {window_ms},\n"));
-    text.push_str("  \"benches\": {\n");
-    let last = means.len().saturating_sub(1);
-    for (i, (name, mean)) in means.iter().enumerate() {
-        let comma = if i == last { "" } else { "," };
-        text.push_str(&format!("    \"{name}\": {mean}{comma}\n"));
+/// Parses a baseline document back into its window and `name -> ns`
+/// timings.
+fn parse_baseline(text: &str) -> Result<(u64, BTreeMap<String, u64>), String> {
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    if doc.get("schema").and_then(Json::as_str) != Some(BASELINE_SCHEMA) {
+        return Err(format!("schema is not {BASELINE_SCHEMA}"));
     }
-    text.push_str("  }\n}\n");
-    std::fs::write(path, text)
-}
-
-/// Parses the committed baseline file back into `name -> mean_ns`.
-fn parse_baseline(text: &str) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        // Entries look like `"micro/foo": 1234`; skip schema/window keys.
-        let Some((key, value)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        if key == "schema" || key == "window_ms" || key == "benches" {
-            continue;
-        }
-        if let Ok(mean) = value.trim().parse::<u64>() {
-            out.insert(key.to_string(), mean);
-        }
-    }
-    out
+    let window_ms = doc
+        .get("window_ms")
+        .and_then(Json::as_f64)
+        .ok_or("no numeric window_ms")?;
+    let Some(Json::Obj(benches)) = doc.get("benches") else {
+        return Err("no benches object".into());
+    };
+    let means = benches
+        .iter()
+        .map(|(name, ns)| {
+            ns.as_f64()
+                .map(|ns| (name.clone(), ns as u64))
+                .ok_or_else(|| format!("bench {name:?} is not a number"))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((window_ms as u64, means))
 }
 
 fn bench_baseline(opts: &Options) -> Result<bool, String> {
     let root = repo_root();
     let means = run_micro_suite(&root, opts)?;
     let path = root.join(BASELINE_FILE);
-    write_baseline(&path, opts.window_ms, &means).map_err(|e| format!("writing baseline: {e}"))?;
+    std::fs::write(&path, write_baseline(opts.window_ms, &means))
+        .map_err(|e| format!("writing baseline: {e}"))?;
     println!("wrote {} ({} benches)", path.display(), means.len());
     Ok(true)
 }
@@ -370,12 +298,8 @@ struct Row {
 }
 
 /// Compares a fresh run against the baseline. Returns the per-bench
-/// rows plus names present in only one of the two sets.
-///
-/// Direction depends on the group: `micro/…` entries are timings
-/// (lower is better — regression means the ratio *rose* past the
-/// tolerance), while `serve/…` entries are throughput-style (higher is
-/// better — regression means the ratio *fell* below `1 - tolerance`).
+/// rows plus names present in only one of the two sets. Entries are
+/// timings: a regression is a ratio that rose past `1 + tolerance`.
 fn compare(
     baseline: &BTreeMap<String, u64>,
     current: &BTreeMap<String, u64>,
@@ -387,17 +311,12 @@ fn compare(
         match current.get(name) {
             Some(&cur) => {
                 let ratio = cur as f64 / base.max(1) as f64;
-                let regressed = if name.starts_with(SERVE_GROUP_PREFIX) {
-                    ratio < 1.0 - tolerance
-                } else {
-                    ratio > 1.0 + tolerance
-                };
                 rows.push(Row {
                     name: name.clone(),
                     baseline_ns: base,
                     current_ns: cur,
                     ratio,
-                    regressed,
+                    regressed: ratio > 1.0 + tolerance,
                 });
             }
             None => missing.push(name.clone()),
@@ -480,15 +399,10 @@ fn bench_check(opts: &Options) -> Result<bool, String> {
             baseline_path.display()
         )
     })?;
-    // `serve/…` entries are measured and gated by `cargo xtask
-    // saturate` against a live socket server; the micro suite never
-    // emits them, so they must not count as "missing" here.
-    let baseline: BTreeMap<String, u64> = parse_baseline(&baseline_text)
-        .into_iter()
-        .filter(|(name, _)| !name.starts_with(SERVE_GROUP_PREFIX))
-        .collect();
+    let (_, baseline) = parse_baseline(&baseline_text)
+        .map_err(|e| format!("parsing {}: {e}", baseline_path.display()))?;
     if baseline.is_empty() {
-        return Err(format!("{BASELINE_FILE} has no micro bench entries"));
+        return Err(format!("{BASELINE_FILE} has no bench entries"));
     }
     let current = run_micro_suite(&root, opts)?;
 
@@ -533,317 +447,6 @@ fn bench_check(opts: &Options) -> Result<bool, String> {
     Ok(!failed)
 }
 
-/// Parses a (possibly fractional) JSON number field out of a flat
-/// NDJSON line. Returns `None` for `null` or absent fields.
-fn extract_f64(line: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let token: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    token.parse().ok()
-}
-
-/// The `window_ms` recorded in a baseline file, if any (kept verbatim
-/// when `saturate --record` rewrites the `serve/` entries so the
-/// `micro/` reference point stays self-describing).
-fn baseline_window_ms(text: &str) -> Option<u64> {
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if let Some((key, value)) = line.split_once(':') {
-            if key.trim().trim_matches('"') == "window_ms" {
-                return value.trim().parse().ok();
-            }
-        }
-    }
-    None
-}
-
-/// Everything `saturate` needs from the `mmsec-load` result line.
-struct LoadResult {
-    submitted: u64,
-    admitted: u64,
-    shed: u64,
-    rejected: u64,
-    completed: u64,
-    wall_secs: f64,
-    jobs_per_sec: f64,
-    shed_rate: f64,
-    p99_latency_ms: Option<f64>,
-}
-
-/// Finds and parses the `load-result` line in `mmsec-load` stdout.
-fn parse_load_result(stdout: &str) -> Result<LoadResult, String> {
-    let line = stdout
-        .lines()
-        .find(|l| l.contains("\"type\":\"load-result\""))
-        .ok_or("mmsec-load printed no load-result line")?;
-    let int = |key: &str| {
-        extract_u64(line, key).ok_or_else(|| format!("load-result line has no `{key}` field"))
-    };
-    let num = |key: &str| {
-        extract_f64(line, key).ok_or_else(|| format!("load-result line has no `{key}` field"))
-    };
-    Ok(LoadResult {
-        submitted: int("submitted")?,
-        admitted: int("admitted")?,
-        shed: int("shed")?,
-        rejected: int("rejected")?,
-        completed: int("completed")?,
-        wall_secs: num("wall_secs")?,
-        jobs_per_sec: num("jobs_per_sec")?,
-        shed_rate: num("shed_rate")?,
-        p99_latency_ms: extract_f64(line, "p99_latency_ms"),
-    })
-}
-
-/// Converts a load result into baseline-style `serve/` entries. Only
-/// [`SERVE_GATED_BENCH`] is regression-gated (throughput, inverted
-/// direction); the shed/latency entries are recorded for tracking.
-fn serve_entries(res: &LoadResult) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
-    out.insert(
-        SERVE_GATED_BENCH.to_string(),
-        res.jobs_per_sec.round() as u64,
-    );
-    out.insert(
-        "serve/saturate_shed_per_million".to_string(),
-        (res.shed_rate * 1e6).round() as u64,
-    );
-    if let Some(p99) = res.p99_latency_ms {
-        out.insert(
-            "serve/saturate_p99_latency_us".to_string(),
-            (p99 * 1e3).round() as u64,
-        );
-    }
-    out
-}
-
-/// Renders the saturation report; returns `(markdown, failed)` where
-/// failure means the throughput gate tripped against the baseline.
-fn render_saturate(
-    res: &LoadResult,
-    baseline: &BTreeMap<String, u64>,
-    shards: u64,
-    tolerance: f64,
-) -> (String, bool) {
-    let mut md = String::from("# Serve saturation report\n\n");
-    md.push_str(&format!(
-        "- shards: {shards}, submitted: {}, wall: {:.3} s\n\
-         - admitted: {}, shed: {}, rejected: {}, completed: {}\n\
-         - throughput: **{:.0} jobs/sec**, shed rate: {:.4}%\n\
-         - p99 admission-to-completion latency: {}\n\n",
-        res.submitted,
-        res.wall_secs,
-        res.admitted,
-        res.shed,
-        res.rejected,
-        res.completed,
-        res.jobs_per_sec,
-        res.shed_rate * 100.0,
-        res.p99_latency_ms
-            .map_or("n/a (nothing completed)".to_string(), |ms| {
-                format!("{ms:.3} ms")
-            }),
-    ));
-    let current = serve_entries(res);
-    let gated: BTreeMap<String, u64> = baseline
-        .iter()
-        .filter(|(name, _)| name.as_str() == SERVE_GATED_BENCH)
-        .map(|(name, &v)| (name.clone(), v))
-        .collect();
-    if gated.is_empty() {
-        md.push_str(&format!(
-            "No `{SERVE_GATED_BENCH}` baseline entry — throughput gate skipped \
-             (record one with `cargo xtask saturate --record`).\n"
-        ));
-        return (md, false);
-    }
-    let (rows, _, _) = compare(&gated, &current, tolerance);
-    let failed = rows.iter().any(|r| r.regressed);
-    md.push_str(&format!(
-        "Throughput gate: drop of more than {:.0}% below the baseline fails. \
-         Result: **{}**.\n\n",
-        tolerance * 100.0,
-        if failed { "FAIL" } else { "OK" }
-    ));
-    md.push_str("| benchmark | baseline | current | ratio | status |\n");
-    md.push_str("|---|---:|---:|---:|---|\n");
-    for r in &rows {
-        md.push_str(&format!(
-            "| {} | {} jobs/s | {} jobs/s | {:.2}x | {} |\n",
-            r.name,
-            r.baseline_ns,
-            r.current_ns,
-            r.ratio,
-            if r.regressed { "REGRESSED" } else { "ok" }
-        ));
-    }
-    (md, failed)
-}
-
-/// Boots a sharded socket server, saturates it with `mmsec-load`, and
-/// checks accounting plus the throughput gate. See the module docs.
-fn saturate(opts: &Options) -> Result<bool, String> {
-    let root = repo_root();
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    eprintln!("building release mmsec + mmsec-load");
-    let status = Command::new(&cargo)
-        .args([
-            "build",
-            "--release",
-            "-p",
-            "mmsec-apps",
-            "--bin",
-            "mmsec",
-            "--bin",
-            "mmsec-load",
-        ])
-        .current_dir(&root)
-        .status()
-        .map_err(|e| format!("spawning cargo build: {e}"))?;
-    if !status.success() {
-        return Err(format!("cargo build failed: {status}"));
-    }
-    let bin = root.join("target").join("release");
-
-    let dir = std::env::temp_dir().join(format!("mmsec-saturate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let platform = dir.join("platform.txt");
-    // Two edges + two clouds: small enough that lane replay stays
-    // cheap, heterogeneous enough that placement has real choices.
-    std::fs::write(
-        &platform,
-        "# mmsec-instance v1\nedge 1.0\nedge 1.0\ncloud 2.0\ncloud 2.0\n",
-    )
-    .map_err(|e| format!("writing platform file: {e}"))?;
-    let sock = dir.join("serve.sock");
-    let listen = format!("unix:{}", sock.display());
-
-    eprintln!("booting server: {} shard(s) on {listen}", opts.shards);
-    let mut server = Command::new(bin.join("mmsec"))
-        .args([
-            "serve",
-            "--instance",
-            &platform.display().to_string(),
-            "--listen",
-            &listen,
-            "--shards",
-            &opts.shards.to_string(),
-            "--once",
-        ])
-        .current_dir(&root)
-        .spawn()
-        .map_err(|e| format!("spawning mmsec serve: {e}"))?;
-
-    // The socket file appears once the listener is bound; --once makes
-    // the server exit on its own after our connection closes.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let ready = loop {
-        if sock.exists() {
-            break Ok(());
-        }
-        match server.try_wait() {
-            Ok(Some(status)) => break Err(format!("server exited before binding: {status}")),
-            Ok(None) => {}
-            Err(e) => break Err(format!("polling server: {e}")),
-        }
-        if Instant::now() > deadline {
-            break Err("server did not bind its socket within 30s".to_string());
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    if let Err(e) = ready {
-        server.kill().ok();
-        server.wait().ok();
-        std::fs::remove_dir_all(&dir).ok();
-        return Err(e);
-    }
-
-    eprintln!(
-        "driving {} jobs across {} tenant(s)",
-        opts.jobs, opts.tenants
-    );
-    let load = Command::new(bin.join("mmsec-load"))
-        .args([
-            "--connect",
-            &listen,
-            "--jobs",
-            &opts.jobs.to_string(),
-            "--tenants",
-            &opts.tenants.to_string(),
-            "--edges",
-            "2",
-        ])
-        .current_dir(&root)
-        .output();
-    let server_status = server.wait();
-    std::fs::remove_dir_all(&dir).ok();
-
-    let load = load.map_err(|e| format!("spawning mmsec-load: {e}"))?;
-    if !load.status.success() {
-        return Err(format!(
-            "mmsec-load failed ({}): {}",
-            load.status,
-            String::from_utf8_lossy(&load.stderr).trim()
-        ));
-    }
-    let server_status = server_status.map_err(|e| format!("waiting for server: {e}"))?;
-    if !server_status.success() {
-        return Err(format!("server exited uncleanly: {server_status}"));
-    }
-    let res = parse_load_result(&String::from_utf8_lossy(&load.stdout))?;
-
-    // The overload contract: every submission is exactly one of
-    // admitted, shed, or rejected — nothing blocks, nothing vanishes.
-    if res.admitted + res.shed + res.rejected != res.submitted {
-        return Err(format!(
-            "accounting violated: admitted {} + shed {} + rejected {} != submitted {}",
-            res.admitted, res.shed, res.rejected, res.submitted
-        ));
-    }
-    if res.completed == 0 || res.jobs_per_sec <= 0.0 {
-        return Err(format!(
-            "server sustained no throughput: completed {}, {:.1} jobs/sec",
-            res.completed, res.jobs_per_sec
-        ));
-    }
-
-    let baseline_path = root.join(BASELINE_FILE);
-    let baseline_text = std::fs::read_to_string(&baseline_path).unwrap_or_default();
-    let baseline = parse_baseline(&baseline_text);
-    let (report, failed) = render_saturate(&res, &baseline, opts.shards, opts.tolerance);
-    print!("{report}");
-    if let Some(report_path) = &opts.report {
-        if let Some(parent) = report_path.parent() {
-            std::fs::create_dir_all(parent).ok();
-        }
-        std::fs::write(report_path, &report).map_err(|e| format!("writing report: {e}"))?;
-        eprintln!("report written to {}", report_path.display());
-    }
-    append_step_summary(&report);
-
-    if opts.record {
-        let mut merged: BTreeMap<String, u64> = baseline
-            .into_iter()
-            .filter(|(name, _)| !name.starts_with(SERVE_GROUP_PREFIX))
-            .collect();
-        merged.extend(serve_entries(&res));
-        let window_ms = baseline_window_ms(&baseline_text).unwrap_or(opts.window_ms);
-        write_baseline(&baseline_path, window_ms, &merged)
-            .map_err(|e| format!("writing baseline: {e}"))?;
-        println!(
-            "recorded serve/ entries into {} ({} total benches)",
-            baseline_path.display(),
-            merged.len()
-        );
-    } else if failed {
-        eprintln!("saturate FAILED: throughput below the baseline gate");
-    }
-    Ok(opts.record || !failed)
-}
-
 /// Formats a duration in seconds human-readably (µs/ms/s).
 fn fmt_secs(s: f64) -> String {
     if s >= 1.0 {
@@ -856,7 +459,7 @@ fn fmt_secs(s: f64) -> String {
 }
 
 /// Renders a `mmsec run --profile` JSON document as markdown.
-fn render_profile(doc: &mmsec_obs::json::Json) -> Result<String, String> {
+fn render_profile(doc: &Json) -> Result<String, String> {
     let str_of = |k: &str| doc.get(k).and_then(|v| v.as_str().map(str::to_string));
     let num_of = |k: &str| doc.get(k).and_then(|v| v.as_f64());
     let schema = str_of("schema").ok_or("profile JSON has no schema field")?;
@@ -918,8 +521,7 @@ fn obs_report(opts: &Options) -> Result<bool, String> {
     };
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let doc =
-        mmsec_obs::json::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))?;
+    let doc = json::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))?;
     let report = render_profile(&doc)?;
     print!("{report}");
     if let Some(report_path) = &opts.report {
@@ -1045,13 +647,17 @@ mod tests {
         let mut means = BTreeMap::new();
         means.insert("micro/a".to_string(), 1500u64);
         means.insert("micro/b".to_string(), 42u64);
-        let dir = std::env::temp_dir().join(format!("xtask-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        write_baseline(&path, 150, &means).unwrap();
-        let parsed = parse_baseline(&std::fs::read_to_string(&path).unwrap());
-        assert_eq!(parsed, means);
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            parse_baseline(&write_baseline(150, &means)),
+            Ok((150, means))
+        );
+
+        // The committed file is exactly what `bench-baseline` writes.
+        let committed = include_str!("../../../BENCH_BASELINE.json");
+        let (window_ms, means) = parse_baseline(committed).unwrap();
+        assert_eq!(write_baseline(window_ms, &means), committed);
+
+        assert!(parse_baseline("{\"schema\": \"other/1\"}").is_err());
     }
 
     #[test]
@@ -1076,131 +682,6 @@ mod tests {
         assert!(report.contains("REGRESSED"));
         assert!(report.contains("MISSING"));
         assert!(report.contains("**FAIL**"));
-    }
-
-    #[test]
-    fn compare_inverts_direction_for_serve_entries() {
-        let mut baseline = BTreeMap::new();
-        baseline.insert("serve/saturate_jobs_per_sec".to_string(), 1000u64);
-        baseline.insert("micro/timing".to_string(), 1000u64);
-
-        // Throughput dropped 40%: regression for serve/, but a 600 ns
-        // timing would be a big *win* for micro/.
-        let mut current = BTreeMap::new();
-        current.insert("serve/saturate_jobs_per_sec".to_string(), 600u64);
-        current.insert("micro/timing".to_string(), 600u64);
-        let (rows, _, _) = compare(&baseline, &current, 0.25);
-        let row = |n: &str| rows.iter().find(|r| r.name == n).unwrap();
-        assert!(row("serve/saturate_jobs_per_sec").regressed);
-        assert!(!row("micro/timing").regressed);
-
-        // Throughput up 40%: fine for serve/, regression for micro/.
-        current.insert("serve/saturate_jobs_per_sec".to_string(), 1400u64);
-        current.insert("micro/timing".to_string(), 1400u64);
-        let (rows, _, _) = compare(&baseline, &current, 0.25);
-        let row = |n: &str| rows.iter().find(|r| r.name == n).unwrap();
-        assert!(!row("serve/saturate_jobs_per_sec").regressed);
-        assert!(row("micro/timing").regressed);
-
-        // A 20% drop sits inside the 25% tolerance.
-        current.insert("serve/saturate_jobs_per_sec".to_string(), 800u64);
-        let (rows, _, _) = compare(&baseline, &current, 0.25);
-        assert!(
-            !rows
-                .iter()
-                .find(|r| r.name == "serve/saturate_jobs_per_sec")
-                .unwrap()
-                .regressed
-        );
-    }
-
-    #[test]
-    fn load_result_parses_and_maps_to_serve_entries() {
-        let stdout = concat!(
-            "noise line\n",
-            "{\"type\":\"load-result\",\"submitted\":50000,\"admitted\":49000,",
-            "\"shed\":1000,\"rejected\":0,\"completed\":49000,\"server_lines\":50000,",
-            "\"server_tenants\":8,\"wall_secs\":2.500,\"jobs_per_sec\":20000.4,",
-            "\"shed_rate\":0.020000,\"p50_latency_ms\":1.250,\"p99_latency_ms\":10.500}\n",
-        );
-        let res = parse_load_result(stdout).unwrap();
-        assert_eq!(res.submitted, 50000);
-        assert_eq!(res.admitted + res.shed + res.rejected, res.submitted);
-        assert_eq!(res.completed, 49000);
-        assert!((res.jobs_per_sec - 20000.4).abs() < 1e-9);
-        assert_eq!(res.p99_latency_ms, Some(10.5));
-
-        let entries = serve_entries(&res);
-        assert_eq!(entries["serve/saturate_jobs_per_sec"], 20000);
-        assert_eq!(entries["serve/saturate_shed_per_million"], 20000);
-        assert_eq!(entries["serve/saturate_p99_latency_us"], 10500);
-
-        // `null` latencies (nothing completed) parse as absent.
-        let none = parse_load_result(
-            "{\"type\":\"load-result\",\"submitted\":1,\"admitted\":0,\"shed\":1,\
-             \"rejected\":0,\"completed\":0,\"server_lines\":1,\"server_tenants\":1,\
-             \"wall_secs\":0.010,\"jobs_per_sec\":100.0,\"shed_rate\":1.0,\
-             \"p50_latency_ms\":null,\"p99_latency_ms\":null}",
-        )
-        .unwrap();
-        assert_eq!(none.p99_latency_ms, None);
-        assert!(!serve_entries(&none).contains_key("serve/saturate_p99_latency_us"));
-
-        assert!(parse_load_result("no result line here").is_err());
-    }
-
-    #[test]
-    fn saturate_report_gates_throughput_against_the_baseline() {
-        let res = LoadResult {
-            submitted: 1_000_000,
-            admitted: 990_000,
-            shed: 10_000,
-            rejected: 0,
-            completed: 990_000,
-            wall_secs: 10.0,
-            jobs_per_sec: 60_000.0,
-            shed_rate: 0.01,
-            p99_latency_ms: Some(25.0),
-        };
-        let mut baseline = BTreeMap::new();
-        baseline.insert(SERVE_GATED_BENCH.to_string(), 100_000u64);
-        let (report, failed) = render_saturate(&res, &baseline, 8, 0.25);
-        assert!(failed, "a 40% throughput drop must trip the 25% gate");
-        assert!(report.contains("REGRESSED"));
-        assert!(report.contains("**FAIL**"));
-
-        baseline.insert(SERVE_GATED_BENCH.to_string(), 60_000u64);
-        let (report, failed) = render_saturate(&res, &baseline, 8, 0.25);
-        assert!(!failed);
-        assert!(report.contains("**OK**"));
-
-        // No serve/ baseline yet: report only, gate skipped.
-        let (report, failed) = render_saturate(&res, &BTreeMap::new(), 8, 0.25);
-        assert!(!failed);
-        assert!(report.contains("gate skipped"));
-    }
-
-    #[test]
-    fn baseline_window_survives_serve_rewrites() {
-        let mut means = BTreeMap::new();
-        means.insert("micro/a".to_string(), 1500u64);
-        means.insert("serve/saturate_jobs_per_sec".to_string(), 90_000u64);
-        let dir = std::env::temp_dir().join(format!("xtask-serve-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        write_baseline(&path, 450, &means).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(baseline_window_ms(&text), Some(450));
-        let parsed = parse_baseline(&text);
-        assert_eq!(parsed, means);
-        // bench-check's view excludes the serve group.
-        let micro: BTreeMap<String, u64> = parsed
-            .into_iter()
-            .filter(|(name, _)| !name.starts_with(SERVE_GROUP_PREFIX))
-            .collect();
-        assert_eq!(micro.len(), 1);
-        assert!(micro.contains_key("micro/a"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1263,13 +744,13 @@ mod tests {
                  "p99_seconds": 0.09, "max_seconds": 0.1, "share": 0.8}
             ]
         }"#;
-        let doc = mmsec_obs::json::parse(text).unwrap();
+        let doc = json::parse(text).unwrap();
         let md = render_profile(&doc).unwrap();
         assert!(md.contains("`srpt`"));
         assert!(md.contains("| decide | 8 |"));
         assert!(md.contains("phase coverage: 99.0%"));
 
-        let bad = mmsec_obs::json::parse("{\"schema\": \"other/9\"}").unwrap();
+        let bad = json::parse("{\"schema\": \"other/9\"}").unwrap();
         assert!(render_profile(&bad).is_err());
     }
 

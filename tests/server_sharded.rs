@@ -6,11 +6,14 @@
 
 use mmsec_apps::ndjson::{parse_object, Value};
 use mmsec_apps::serve::{serve, ServeConfig};
-use mmsec_apps::server::{run_sharded, ServerConfig, ServerSummary};
+use mmsec_apps::server::{run_listener, run_sharded, Listen, ServerConfig, ServerSummary};
 use mmsec_core::PolicyKind;
 use mmsec_platform::{Instance, PlatformSpec};
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{Cursor, Read, Write};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
+use std::time::{Duration, Instant};
 
 fn platform() -> Instance {
     let spec = PlatformSpec::builder()
@@ -211,6 +214,82 @@ not json at all
     .unwrap();
     let plain: Vec<&str> = std::str::from_utf8(&plain).unwrap().lines().collect();
     assert_eq!(tagged, plain, "tagged stream is not byte-identical");
+}
+
+#[test]
+fn socket_listener_serves_one_connection_end_to_end() {
+    // Tenant "a" opens with a spec record; untagged lines, one of them
+    // malformed, go to the default tenant.
+    let input = r#"{"tenant": "a", "type": "spec", "edges": 3, "clouds": 2, "cloud-speed": 2.0}
+{"tenant": "a", "origin": 2, "release": 0.0, "work": 1.0}
+{"origin": 0, "release": 0.5, "work": 2.0}
+{"tenant": "a", "origin": 0, "release": 1.0, "work": 1.5}
+{"origin": 1, "release": 1.0,
+{"origin": 1, "release": 2.0, "work": 0.5}
+"#;
+    let path = std::env::temp_dir().join(format!("mmsec-listener-{}.sock", std::process::id()));
+    let (inst, cfg) = (platform(), server_cfg(2));
+    let listen = Listen::Unix(path.clone());
+    let output = std::thread::scope(|s| {
+        let server = s.spawn(|| run_listener(&inst, &cfg, &listen, true));
+        // The listener binds on its own thread: retry until it accepts.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut conn = loop {
+            match UnixStream::connect(&path) {
+                Ok(conn) => break conn,
+                Err(e) => {
+                    let waiting = Instant::now() < deadline && !server.is_finished();
+                    assert!(waiting, "cannot connect to {}: {e}", path.display());
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+        };
+        // Fail rather than hang if the server never closes the stream.
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        conn.write_all(input.as_bytes()).unwrap();
+        conn.shutdown(Shutdown::Write).unwrap();
+        let mut output = String::new();
+        conn.read_to_string(&mut output).unwrap();
+        server
+            .join()
+            .expect("listener thread panicked")
+            .expect("a --once listener returns Ok after its connection");
+        output
+    });
+    assert!(!path.exists(), "the listener removes its socket file");
+
+    let recs: Vec<_> = output.lines().map(|l| parse_object(l).unwrap()).collect();
+    assert_eq!(kind_of(&recs[0]), "server-hello");
+    assert_eq!(kind_of(recs.last().unwrap()), "server-summary");
+    let of = |kind: &str, tenant: &str| -> Vec<&Vec<(String, Value)>> {
+        recs.iter()
+            .filter(|r| kind_of(r) == kind && txt(r, "tenant") == Some(tenant))
+            .collect()
+    };
+    let spec_ok = of("spec-ok", "a").len();
+    assert_eq!(spec_ok, 1);
+    let reject = of("reject", "default");
+    assert_eq!(reject.len(), 1);
+    assert_eq!(txt(reject[0], "code"), Some("parse-error"));
+    for (tenant, rejected) in [("a", 0.0), ("default", 1.0)] {
+        let summary = of("summary", tenant);
+        assert_eq!(summary.len(), 1, "one summary for {tenant}");
+        assert_eq!(num(summary[0], "admitted"), 2.0, "{tenant}");
+        assert_eq!(num(summary[0], "completed"), 2.0, "{tenant}");
+        assert_eq!(num(summary[0], "rejected"), rejected, "{tenant}");
+    }
+
+    // Accounting closes: every input line is admitted, shed, rejected,
+    // or answered by a `spec-ok`.
+    let total = recs.last().unwrap();
+    assert_eq!(num(total, "lines"), 6.0);
+    assert_eq!(num(total, "tenants"), 2.0);
+    assert_eq!(num(total, "completed"), 4.0);
+    assert_eq!(
+        num(total, "admitted") + num(total, "shed") + num(total, "rejected"),
+        num(total, "lines") - spec_ok as f64
+    );
 }
 
 /// One tenant's scripted traffic for the bit-identity property.
