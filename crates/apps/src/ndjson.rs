@@ -9,7 +9,7 @@
 //! ignore or reject them.
 
 pub use mmsec_platform::obs::json::{
-    parse_object, parse_object_into, Json as Value, ObjBuf, ObjWriter,
+    parse_object, parse_object_into, write_num, Json as Value, ObjBuf, ObjWriter,
 };
 
 #[cfg(test)]

@@ -42,7 +42,7 @@
 //! [`crate::ndjson`] reader.
 
 use crate::cli::CliError;
-use crate::ndjson::{parse_object_into, ObjBuf, ObjWriter, Value};
+use crate::ndjson::{parse_object_into, write_num, ObjBuf, ObjWriter, Value};
 use crate::serve::Reject;
 use mmsec_platform::{CloudId, EdgeId, Instance, Job, PlatformSpec};
 use mmsec_sim::Interval;
@@ -271,24 +271,13 @@ pub(crate) fn parse_spec_fields(fields: &[(String, Value)]) -> Result<PlatformSp
         .map_err(|e| Reject::new("bad-spec", "", e.to_string()))
 }
 
-/// Formats `x` exactly as [`ObjWriter::num_field`] does (shortest
-/// round-trip; integer-like without the `.0`), for list-in-string fields.
-fn fmt_num(out: &mut String, x: f64) {
-    use std::fmt::Write as _;
-    if x == x.trunc() && x.abs() < 1e15 {
-        let _ = write!(out, "{}", x as i64);
-    } else {
-        let _ = write!(out, "{x}");
-    }
-}
-
 fn join_nums(values: impl Iterator<Item = f64>) -> String {
     let mut out = String::new();
     for (i, x) in values.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        fmt_num(&mut out, x);
+        write_num(&mut out, x);
     }
     out
 }
@@ -323,9 +312,9 @@ pub(crate) fn spec_record(spec: &PlatformSpec) -> String {
                 }
                 use std::fmt::Write as _;
                 let _ = write!(windows, "{}:", k.0);
-                fmt_num(&mut windows, iv.start().seconds());
+                write_num(&mut windows, iv.start().seconds());
                 windows.push(':');
-                fmt_num(&mut windows, iv.end().seconds());
+                write_num(&mut windows, iv.end().seconds());
             }
         }
         w.str_field("unavail", &windows);

@@ -6,7 +6,7 @@
 //! value (the job most endangering the max-stretch objective) and place it
 //! on the resource achieving its minimum; claim the resources and repeat.
 
-use crate::placing::{stretch_at, RoundState};
+use crate::placing::RoundState;
 use mmsec_platform::{DirectiveBuffer, Instance, JobId, OnlineScheduler, SimView};
 
 /// Greedy max-imminent-stretch-first policy.
@@ -58,7 +58,7 @@ impl OnlineScheduler for Greedy {
                 let Some(opt) = round.best_startable(view, id) else {
                     continue;
                 };
-                let s = stretch_at(view, id, opt.completion);
+                let s = view.stretch_if_completed_at(id, opt.completion);
                 let mt = view.job(id).min_time(view.spec());
                 let better = match &pick {
                     None => true,

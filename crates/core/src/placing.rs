@@ -18,7 +18,6 @@ use mmsec_platform::resource::{ResourceId, ResourceMap};
 use mmsec_platform::{CloudId, Job, JobId, JobState, Phase, SimView, Target};
 use mmsec_sim::time::approx;
 use mmsec_sim::Time;
-use std::cell::Cell;
 
 /// Phase the job would run first if placed on `target` *now*: the current
 /// phase when continuing on its committed target, the first non-empty
@@ -31,17 +30,37 @@ pub fn first_phase(view: &SimView<'_>, id: JobId, target: Target) -> Option<Phas
     }
     match target {
         Target::Edge => approx::positive(job.work).then_some(Phase::Compute),
-        Target::Cloud(_) => {
-            if approx::positive(job.up) {
-                Some(Phase::Uplink)
-            } else if approx::positive(job.work) {
-                Some(Phase::Compute)
-            } else if approx::positive(job.dn) {
-                Some(Phase::Downlink)
-            } else {
-                None
-            }
+        Target::Cloud(_) => cloud_phase(job.up, job.work, job.dn),
+    }
+}
+
+/// First non-empty phase of a cloud run with volumes `(up, work, dn)`
+/// left: from-scratch volumes for a fresh start, remaining ones for a
+/// continuation.
+fn cloud_phase(up: f64, work: f64, dn: f64) -> Option<Phase> {
+    if approx::positive(up) {
+        Some(Phase::Uplink)
+    } else if approx::positive(work) {
+        Some(Phase::Compute)
+    } else if approx::positive(dn) {
+        Some(Phase::Downlink)
+    } else {
+        None
+    }
+}
+
+/// The re-execution guard's bar (see [`RoundState::best_startable`]):
+/// when `id` has progress on its committed target, the optimistic
+/// completion of continuing there as if its resources freed right now.
+fn continuation_bar(view: &SimView<'_>, id: JobId) -> Option<Time> {
+    let jobs = view.jobs;
+    let i = id.0;
+    let has_progress = jobs.up_done[i] + jobs.work_done[i] + jobs.dn_done[i] > 0.0;
+    match jobs.committed[i] {
+        Some(t) if has_progress => {
+            Some(view.now + Time::new(jobs.remaining_time_on(i, view.job(id), t, view.spec())))
         }
+        _ => None,
     }
 }
 
@@ -115,10 +134,6 @@ pub struct RoundState {
     /// a flat platform every path factor is exactly 1.0, so the grouping
     /// degenerates to the pure speed classes it always was.
     speed_classes: Vec<Vec<CloudId>>,
-    /// Speed-class index of each cloud — the inverse of `speed_classes`,
-    /// so per-cloud paths (delta refresh) can reach the class quotient
-    /// cache without searching the groups.
-    cloud_class: Vec<u32>,
     /// Clouds this round has touched — claimed, or carrying committed-job
     /// backlog — and which therefore need individual evaluation.
     touched: Vec<bool>,
@@ -155,18 +170,6 @@ pub struct RoundState {
     dirty_edge_in: Vec<bool>,
     /// Any of cloud `k`'s three resources moved (a claim landed on `k`).
     dirty_cloud: Vec<bool>,
-    /// Cross-epoch quotient cache for fresh *edge* candidates:
-    /// `fresh_edge_div[i]` holds `job.work / edge_speed(origin)` — a
-    /// run-long constant per job, yet recomputed by every round's scan
-    /// before this cache. NaN marks "not computed yet" (volumes and
-    /// speeds are finite and positive, so a real quotient is never NaN).
-    /// Entries survive `reset`; the platform-version rebuild — exactly
-    /// when speeds can change — drops them.
-    fresh_edge_div: Vec<Cell<f64>>,
-    /// Same for fresh *cloud* candidates, one quotient per (job, speed
-    /// class): `fresh_cloud_div[i * speed_classes.len() + class]` holds
-    /// `job.work / class_speed`.
-    fresh_cloud_div: Vec<Cell<f64>>,
 }
 
 impl RoundState {
@@ -186,22 +189,13 @@ impl RoundState {
                 None => speed_classes.push((key, vec![k])),
             }
         }
-        let speed_classes: Vec<Vec<CloudId>> = speed_classes.into_iter().map(|(_, c)| c).collect();
-        let num_classes = speed_classes.len();
-        let mut cloud_class = vec![0u32; spec.num_cloud()];
-        for (ci, class) in speed_classes.iter().enumerate() {
-            for &k in class {
-                cloud_class[k.0] = ci as u32;
-            }
-        }
         let mut round = RoundState {
             proj: Projection::from_view(view),
             busy_now: ResourceMap::new(spec, false),
             backlog: ResourceMap::new(spec, 0.0f64),
             contribution: vec![None; view.jobs.len()],
             contributors: Vec::new(),
-            speed_classes,
-            cloud_class,
+            speed_classes: speed_classes.into_iter().map(|(_, c)| c).collect(),
             touched: vec![false; spec.num_cloud()],
             touched_list: Vec::new(),
             version: view.platform_version(),
@@ -213,8 +207,6 @@ impl RoundState {
             dirty_edge_out: vec![false; spec.num_edge()],
             dirty_edge_in: vec![false; spec.num_edge()],
             dirty_cloud: vec![false; spec.num_cloud()],
-            fresh_edge_div: vec![Cell::new(f64::NAN); view.jobs.len()],
-            fresh_cloud_div: vec![Cell::new(f64::NAN); view.jobs.len() * num_classes],
         };
         round.gather(view);
         round
@@ -257,16 +249,6 @@ impl RoundState {
         if self.contribution.len() != view.jobs.len() {
             self.contribution.clear();
             self.contribution.resize(view.jobs.len(), None);
-        }
-        if self.fresh_edge_div.len() != view.jobs.len() {
-            // Jobs arrived since the last round (streaming sessions):
-            // keep the computed quotients, mark only the new tail unset.
-            self.fresh_edge_div
-                .resize(view.jobs.len(), Cell::new(f64::NAN));
-            self.fresh_cloud_div.resize(
-                view.jobs.len() * self.speed_classes.len(),
-                Cell::new(f64::NAN),
-            );
         }
         self.gather(view);
     }
@@ -313,35 +295,6 @@ impl RoundState {
         }
     }
 
-    /// Cached `work / speed` for job `i`'s fresh edge candidate,
-    /// computed on first use (IEEE division is deterministic, so the
-    /// cached quotient is bit-identical to recomputing it).
-    fn fresh_edge_quot(&self, i: usize, work: f64, speed: f64) -> f64 {
-        let cell = &self.fresh_edge_div[i];
-        let q = cell.get();
-        if q.is_nan() {
-            let q = work / speed;
-            cell.set(q);
-            q
-        } else {
-            q
-        }
-    }
-
-    /// Cached `work / class_speed` for job `i`'s fresh candidate on
-    /// speed class `class`.
-    fn fresh_cloud_quot(&self, i: usize, class: usize, work: f64, speed: f64) -> f64 {
-        let cell = &self.fresh_cloud_div[i * self.speed_classes.len() + class];
-        let q = cell.get();
-        if q.is_nan() {
-            let q = work / speed;
-            cell.set(q);
-            q
-        } else {
-            q
-        }
-    }
-
     /// Backlog a candidate target's CPU carries, excluding `id`'s own
     /// contribution.
     fn foreign_backlog(&self, view: &SimView<'_>, id: JobId, target: Target) -> f64 {
@@ -372,21 +325,11 @@ impl RoundState {
     /// single event restarts elsewhere, gets displaced again, and thrashes
     /// away all its progress.
     pub fn best_startable(&self, view: &SimView<'_>, id: JobId) -> Option<StartOption> {
-        let jobs = view.jobs;
-        let i = id.0;
         let job = view.job(id);
         let spec = view.spec();
-        let now = view.now;
         let e = job.origin.0;
-        let committed = jobs.committed[i];
-
-        let has_progress = jobs.up_done[i] + jobs.work_done[i] + jobs.dn_done[i] > 0.0;
-        let continuation_bar: Option<Time> = match committed {
-            Some(t) if has_progress => {
-                Some(now + Time::new(jobs.remaining_time_on(i, job, t, spec)))
-            }
-            _ => None,
-        };
+        let committed = view.jobs.committed[id.0];
+        let bar = continuation_bar(view, id);
 
         // Snapshot for dirty candidates (full projection walk); built at
         // most once, and not at all on the common all-clean call.
@@ -396,113 +339,12 @@ impl RoundState {
         let mut best_penalized = Time::new(f64::MAX);
 
         // Committed target first (wins ties through strict `<` below),
-        // with remaining volumes.
-        if let Some(t) = committed {
-            let cand = match t {
-                Target::Edge if !self.dirty_edge_cpu[e] => {
-                    if view.target_available(job.origin, t) {
-                        jobs.current_phase(i, job, t).map(|phase| {
-                            let f = Forecast::pristine(
-                                t,
-                                0.0,
-                                jobs.remaining_work(i, job),
-                                0.0,
-                                spec.edge_speed(job.origin),
-                                now,
-                            );
-                            let p = f.completion + Time::new(self.foreign_backlog(view, id, t));
-                            (
-                                p,
-                                StartOption {
-                                    target: t,
-                                    completion: f.completion,
-                                    phase,
-                                    forecast: f,
-                                },
-                            )
-                        })
-                    } else {
-                        None
-                    }
-                }
-                // Clean iff no profile the forecast would read moved this
-                // round: the cloud's own resources, plus the origin ports
-                // when the matching communication phase exists (the
-                // forecast reads `EdgeOut`/`EdgeIn` only when the volume
-                // is > 0 — mirror that predicate exactly).
-                Target::Cloud(k)
-                    if !self.dirty_cloud[k.0]
-                        && (!self.dirty_edge_out[e] || jobs.remaining_up(i, job) <= 0.0)
-                        && (!self.dirty_edge_in[e] || jobs.remaining_dn(i, job) <= 0.0) =>
-                {
-                    if view.target_available(job.origin, t) {
-                        jobs.current_phase(i, job, t).map(|phase| {
-                            let f = Forecast::pristine(
-                                t,
-                                jobs.remaining_up(i, job) * spec.path_up(k),
-                                jobs.remaining_work(i, job),
-                                jobs.remaining_dn(i, job) * spec.path_dn(k),
-                                spec.cloud_speed(k),
-                                now,
-                            );
-                            let p = f.completion + Time::new(self.foreign_backlog(view, id, t));
-                            (
-                                p,
-                                StartOption {
-                                    target: t,
-                                    completion: f.completion,
-                                    phase,
-                                    forecast: f,
-                                },
-                            )
-                        })
-                    } else {
-                        None
-                    }
-                }
-                _ => {
-                    let st = st_slot.get_or_insert_with(|| view.state(id));
-                    self.evaluate(view, id, st, job, t, continuation_bar)
-                }
-            };
-            if let Some((p, opt)) = cand {
-                if p < best_penalized {
-                    best_penalized = p;
-                    best = Some(opt);
-                }
-            }
-        }
-
-        // The edge, from-scratch volumes. When committed there the
-        // candidate above already scored it; a re-evaluation ties and
-        // loses on strict `<`, so it is skipped.
-        if committed != Some(Target::Edge) {
-            let cand = if !self.dirty_edge_cpu[e] {
-                if view.target_available(job.origin, Target::Edge) && approx::positive(job.work) {
-                    let exec = self.fresh_edge_quot(i, job.work, spec.edge_speed(job.origin));
-                    let f = Forecast::pristine_quot(Target::Edge, 0.0, exec, 0.0, now);
-                    let p = f.completion + Time::new(self.foreign_backlog(view, id, Target::Edge));
-                    if matches!(continuation_bar, Some(bar) if p >= bar) {
-                        None
-                    } else {
-                        Some((
-                            p,
-                            StartOption {
-                                target: Target::Edge,
-                                completion: f.completion,
-                                phase: Phase::Compute,
-                                forecast: f,
-                            },
-                        ))
-                    }
-                } else {
-                    None
-                }
-            } else {
-                let st = st_slot.get_or_insert_with(|| view.state(id));
-                self.evaluate(view, id, st, job, Target::Edge, continuation_bar)
-            };
-            if let Some((p, opt)) = cand {
+        // with remaining volumes; then the edge from scratch. When
+        // committed to the edge, the first candidate already scored it; a
+        // re-evaluation ties and loses on strict `<`, so it is skipped.
+        let edge = (committed != Some(Target::Edge)).then_some(Target::Edge);
+        for t in committed.into_iter().chain(edge) {
+            if let Some((p, opt)) = self.score(view, id, t, bar, &mut st_slot) {
                 if p < best_penalized {
                     best_penalized = p;
                     best = Some(opt);
@@ -521,20 +363,11 @@ impl RoundState {
         // members (touched or not) share one closed-form forecast per
         // group and differ only in the backlog penalty; members whose
         // profiles moved this round take the full projection walk.
-        let fresh_cloud_phase = if approx::positive(job.up) {
-            Some(Phase::Uplink)
-        } else if approx::positive(job.work) {
-            Some(Phase::Compute)
-        } else if approx::positive(job.dn) {
-            Some(Phase::Downlink)
-        } else {
-            None
-        };
         let ports_clean_up = !self.dirty_edge_out[e] || job.up <= 0.0;
         let ports_clean_dn = !self.dirty_edge_in[e] || job.dn <= 0.0;
         let mut cloud_best: Option<(Time, CloudId, StartOption)> = None;
-        if let Some(cphase) = fresh_cloud_phase {
-            for (ci, class) in self.speed_classes.iter().enumerate() {
+        if let Some(cphase) = cloud_phase(job.up, job.work, job.dn) {
+            for class in &self.speed_classes {
                 let mut class_fc: Option<Forecast> = None;
                 for &k in class {
                     if committed == Some(Target::Cloud(k)) {
@@ -549,20 +382,20 @@ impl RoundState {
                     let clean = !self.dirty_cloud[k.0] && ports_clean_up && ports_clean_dn;
                     let cand = if clean {
                         let f = *class_fc.get_or_insert_with(|| {
-                            let exec = self.fresh_cloud_quot(i, ci, job.work, spec.cloud_speed(k));
-                            Forecast::pristine_quot(
+                            Forecast::pristine(
                                 Target::Cloud(k),
                                 job.up * spec.path_up(k),
-                                exec,
+                                job.work,
                                 job.dn * spec.path_dn(k),
-                                now,
+                                spec.cloud_speed(k),
+                                view.now,
                             )
                         });
                         // `id`'s own contribution sits on its committed
                         // CPU, which this scan skips — no subtraction.
                         let p = f.completion
                             + Time::new(self.backlog[ResourceId::CloudCpu(k)].max(0.0));
-                        if matches!(continuation_bar, Some(bar) if p >= bar) {
+                        if matches!(bar, Some(b) if p >= b) {
                             None
                         } else {
                             Some((
@@ -577,7 +410,7 @@ impl RoundState {
                         }
                     } else {
                         let st = st_slot.get_or_insert_with(|| view.state(id));
-                        self.evaluate(view, id, st, job, Target::Cloud(k), continuation_bar)
+                        self.evaluate(view, id, st, job, Target::Cloud(k), bar)
                     };
                     if let Some((p, opt)) = cand {
                         let better = match &cloud_best {
@@ -631,14 +464,13 @@ impl RoundState {
     /// at `tag`). The fresh argmin is therefore `cached` versus the
     /// re-scored retired clouds, compared under the scan's total order:
     /// penalized score first, ties broken committed target → edge →
-    /// ascending cloud index. Each re-score is first bound-tested with
-    /// the closed-form pristine forecast (every resource free at `now` —
-    /// a lower bound on any projection walk over the same from-scratch
-    /// volumes) plus the current backlog; candidates whose bound already
-    /// loses skip the walk, and for clean clouds the bound *is* the
-    /// exact score. Falls back to the full scan when a claim shares
-    /// `id`'s origin, moved the cached target's own profiles, or the
-    /// delta outgrows its fixed buffer.
+    /// ascending cloud index. Each from-scratch re-score is first
+    /// bound-tested with the closed-form pristine forecast (every
+    /// resource free at `now` — a lower bound on any projection walk over
+    /// the same volumes) plus the current backlog; candidates whose bound
+    /// already loses skip the re-score. Falls back to the full scan when
+    /// a claim shares `id`'s origin, moved the cached target's own
+    /// profiles, or the delta outgrows its fixed buffer.
     pub fn refresh_option(
         &self,
         view: &SimView<'_>,
@@ -702,9 +534,7 @@ impl RoundState {
         // score, then a rank placing the committed target before the
         // edge before ascending cloud indices. Distinct targets get
         // distinct ranks, so the order is total and the argmin unique.
-        let jobs = view.jobs;
-        let i = id.0;
-        let committed = jobs.committed[i];
+        let committed = view.jobs.committed[id.0];
         let rank = |t: Target| -> u64 {
             if committed == Some(t) {
                 return 0;
@@ -714,97 +544,122 @@ impl RoundState {
                 Target::Cloud(k) => 2 + k.0 as u64,
             }
         };
-        let has_progress = jobs.up_done[i] + jobs.work_done[i] + jobs.dn_done[i] > 0.0;
-        let continuation_bar: Option<Time> = match committed {
-            Some(t) if has_progress => {
-                Some(view.now + Time::new(jobs.remaining_time_on(i, job, t, view.spec())))
-            }
-            _ => None,
-        };
+        let bar = continuation_bar(view, id);
         let spec = view.spec();
-        let now = view.now;
         let mut st_slot: Option<JobState> = None;
         let mut best = *cached;
         let mut best_key = (
             cached.completion + Time::new(self.foreign_backlog(view, id, cached.target)),
             rank(cached.target),
         );
-        let fresh_cloud_phase = if approx::positive(job.up) {
-            Some(Phase::Uplink)
-        } else if approx::positive(job.work) {
-            Some(Phase::Compute)
-        } else if approx::positive(job.dn) {
-            Some(Phase::Downlink)
-        } else {
-            None
-        };
         for &k in &delta[..delta_len] {
             let t = Target::Cloud(k);
-            if committed == Some(t) {
-                // Continuation: scored on *remaining* volumes, so the
-                // from-scratch pristine bound below does not apply.
-                let st = st_slot.get_or_insert_with(|| view.state(id));
-                if let Some((p, opt)) = self.evaluate(view, id, st, job, t, continuation_bar) {
-                    let key = (p, rank(t));
-                    if key < best_key {
-                        best_key = key;
-                        best = opt;
-                    }
+            // Pristine bound, for from-scratch candidates only (a
+            // continuation is scored on *remaining* volumes): adding the
+            // current backlog keeps it a lower bound on the penalized
+            // score, so a candidate whose bound already loses to the
+            // incumbent under the scan's total order cannot become the
+            // argmin — skip it without touching the projection.
+            if committed != Some(t) {
+                let lb = Forecast::pristine(
+                    t,
+                    job.up * spec.path_up(k),
+                    job.work,
+                    job.dn * spec.path_dn(k),
+                    spec.cloud_speed(k),
+                    view.now,
+                );
+                let p_lb =
+                    lb.completion + Time::new(self.backlog[ResourceId::CloudCpu(k)].max(0.0));
+                if (p_lb, rank(t)) >= best_key {
+                    continue;
                 }
-                continue;
             }
-            let Some(cphase) = fresh_cloud_phase else {
-                continue;
-            };
-            // Pristine bound: the closed-form forecast assumes every
-            // resource free at `now`, a lower bound on any projection
-            // walk for the same from-scratch volumes; adding the current
-            // backlog keeps it a lower bound on the penalized score. A
-            // candidate whose bound already loses to the incumbent under
-            // the scan's total order cannot become the argmin — skip it
-            // without touching the projection.
-            let ci = self.cloud_class[k.0] as usize;
-            let exec = self.fresh_cloud_quot(i, ci, job.work, spec.cloud_speed(k));
-            let f = Forecast::pristine_quot(
-                t,
-                job.up * spec.path_up(k),
-                exec,
-                job.dn * spec.path_dn(k),
-                now,
-            );
-            let p_lb = f.completion + Time::new(self.backlog[ResourceId::CloudCpu(k)].max(0.0));
-            if (p_lb, rank(t)) >= best_key {
-                continue;
-            }
-            let clean = !self.dirty_cloud[k.0]
-                && (!self.dirty_edge_out[e] || job.up <= 0.0)
-                && (!self.dirty_edge_in[e] || job.dn <= 0.0);
-            if clean {
-                // The bound *is* the clean-path score, and it already
-                // beat the incumbent strictly.
-                if view.target_available(job.origin, t)
-                    && !matches!(continuation_bar, Some(bar) if p_lb >= bar)
-                {
-                    best_key = (p_lb, rank(t));
-                    best = StartOption {
-                        target: t,
-                        completion: f.completion,
-                        phase: cphase,
-                        forecast: f,
-                    };
-                }
-            } else {
-                let st = st_slot.get_or_insert_with(|| view.state(id));
-                if let Some((p, opt)) = self.evaluate(view, id, st, job, t, continuation_bar) {
-                    let key = (p, rank(t));
-                    if key < best_key {
-                        best_key = key;
-                        best = opt;
-                    }
+            if let Some((p, opt)) = self.score(view, id, t, bar, &mut st_slot) {
+                let key = (p, rank(t));
+                if key < best_key {
+                    best_key = key;
+                    best = opt;
                 }
             }
         }
         Some(best)
+    }
+
+    /// Scores one candidate exactly as [`Self::evaluate`] does, taking the
+    /// closed form [`Forecast::pristine`] when no profile the forecast
+    /// would read moved this round (then every resource it reads is free
+    /// at `now` and none is busy). `st` caches the job snapshot the
+    /// projection walk needs, built on first use.
+    fn score(
+        &self,
+        view: &SimView<'_>,
+        id: JobId,
+        target: Target,
+        bar: Option<Time>,
+        st: &mut Option<JobState>,
+    ) -> Option<(Time, StartOption)> {
+        let jobs = view.jobs;
+        let i = id.0;
+        let job = view.job(id);
+        let e = job.origin.0;
+        let continuing = jobs.committed[i] == Some(target);
+        let (up, work, dn) = if continuing {
+            (
+                jobs.remaining_up(i, job),
+                jobs.remaining_work(i, job),
+                jobs.remaining_dn(i, job),
+            )
+        } else {
+            (job.up, job.work, job.dn)
+        };
+        // The forecast reads `EdgeOut`/`EdgeIn` only when the matching
+        // volume is > 0 — the clean test mirrors that predicate exactly.
+        let clean = match target {
+            Target::Edge => !self.dirty_edge_cpu[e],
+            Target::Cloud(k) => {
+                !self.dirty_cloud[k.0]
+                    && (!self.dirty_edge_out[e] || up <= 0.0)
+                    && (!self.dirty_edge_in[e] || dn <= 0.0)
+            }
+        };
+        if !clean {
+            let st = st.get_or_insert_with(|| view.state(id));
+            return self.evaluate(view, id, st, job, target, bar);
+        }
+        if !view.target_available(job.origin, target) {
+            return None;
+        }
+        let spec = view.spec();
+        let (phase, speed, up, dn) = match target {
+            Target::Edge => (
+                approx::positive(work).then_some(Phase::Compute),
+                spec.edge_speed(job.origin),
+                0.0,
+                0.0,
+            ),
+            Target::Cloud(k) => (
+                cloud_phase(up, work, dn),
+                spec.cloud_speed(k),
+                up * spec.path_up(k),
+                dn * spec.path_dn(k),
+            ),
+        };
+        let phase = phase?;
+        let f = Forecast::pristine(target, up, work, dn, speed, view.now);
+        let penalized = f.completion + Time::new(self.foreign_backlog(view, id, target));
+        if !continuing && matches!(bar, Some(b) if penalized >= b) {
+            return None; // restarting cannot beat waiting
+        }
+        Some((
+            penalized,
+            StartOption {
+                target,
+                completion: f.completion,
+                phase,
+                forecast: f,
+            },
+        ))
     }
 
     /// Evaluates one placement candidate: `Some((penalized_score, opt))`
@@ -862,19 +717,12 @@ impl RoundState {
         let st = &view.state(id);
         let job = view.job(id);
         let spec = view.spec();
-
-        let has_progress = st.up_done + st.work_done + st.dn_done > 0.0;
-        let continuation_bar: Option<Time> = match st.committed {
-            Some(t) if has_progress => {
-                Some(view.now + Time::new(st.remaining_time_on(job, t, spec)))
-            }
-            _ => None,
-        };
+        let bar = continuation_bar(view, id);
 
         let mut best: Option<StartOption> = None;
         let mut best_penalized = Time::new(f64::MAX);
         let mut consider = |target: Target| {
-            if let Some((p, opt)) = self.evaluate(view, id, st, job, target, continuation_bar) {
+            if let Some((p, opt)) = self.evaluate(view, id, st, job, target, bar) {
                 if p < best_penalized {
                     best_penalized = p;
                     best = Some(opt);
@@ -964,11 +812,6 @@ impl RoundState {
         self.claims += 1;
         debug_assert_eq!(self.claims as usize, self.claim_log.len());
     }
-}
-
-/// Stretch of `id` if it completes at `completion`.
-pub fn stretch_at(view: &SimView<'_>, id: JobId, completion: Time) -> f64 {
-    view.stretch_if_completed_at(id, completion)
 }
 
 #[cfg(test)]
@@ -1194,7 +1037,8 @@ mod tests {
 
             /// The speed-class fast path must reproduce the exhaustive
             /// ascending scan bit-for-bit: heterogeneous cloud speeds
-            /// (so groups and cross-group ties exist), jobs in every
+            /// (so groups and cross-group ties exist), flat and two-tier
+            /// platforms (so path factors differ from 1.0), jobs in every
             /// commitment/progress state, random down units, and claims
             /// applied mid-round.
             #[test]
@@ -1207,11 +1051,26 @@ mod tests {
                 down in proptest::collection::vec(any::<bool>(), 10),
                 claims in 0usize..4,
                 now in 4.0f64..6.0,
+                tiered in any::<bool>(),
+                hop_up in 1.0f64..3.0,
+                hop_dn in 1.0f64..3.0,
             ) {
                 let speeds: Vec<f64> =
                     speed_picks.iter().map(|&p| [0.5, 1.0, 2.0][p]).collect();
                 let num_cloud = speeds.len();
-                let spec = PlatformSpec::builder().edges(vec![1.0, 0.5]).clouds(speeds).build();
+                let edges = PlatformSpec::builder().edges(vec![1.0, 0.5]);
+                // Two tiers: the first cloud near at unit hop factors,
+                // the rest one hop deeper.
+                let spec = if tiered && num_cloud >= 2 {
+                    edges
+                        .tier(1.0, 1.0)
+                        .cloud(speeds[0])
+                        .tier(hop_up, hop_dn)
+                        .clouds(speeds[1..].iter().copied())
+                        .build()
+                } else {
+                    edges.clouds(speeds).build()
+                };
                 let jobs: Vec<Job> = job_descs
                     .iter()
                     .map(|&(rel, work, up, dn, origin, _)| {
@@ -1311,14 +1170,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stretch_estimate() {
-        let (inst, states) = fixture();
-        let arena = JobArena::from_states(&inst, &states);
-        let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
-        assert!((stretch_at(&view, JobId(0), Time::new(6.0)) - 1.5).abs() < 1e-12);
     }
 }

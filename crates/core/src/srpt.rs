@@ -291,18 +291,27 @@ mod tests {
                     1..12,
                 ),
                 proptest::collection::vec(0.1f64..1.2, 1..4), // edge speeds
+                (any::<bool>(), 1.0f64..3.0, 1.0f64..3.0),    // two tiers? deep hop
             )
-                .prop_map(|(ne, nc, cloud_pool, raw_jobs, speeds)| {
+                .prop_map(|(ne, nc, cloud_pool, raw_jobs, speeds, hop)| {
                     let mut edge_speeds = speeds;
                     edge_speeds.resize(ne, 0.5);
                     // Repeating pool entries produce speed classes with
                     // several members — the scan's sharing path.
                     let cloud_speeds: Vec<f64> =
                         (0..nc).map(|k| cloud_pool[k % cloud_pool.len()]).collect();
-                    let spec = PlatformSpec::builder()
-                        .edges(edge_speeds)
-                        .clouds(cloud_speeds)
-                        .build();
+                    let edges = PlatformSpec::builder().edges(edge_speeds);
+                    // Two tiers: the first cloud near at unit hop factors,
+                    // the rest one hop deeper.
+                    let spec = match hop {
+                        (true, up, dn) if nc >= 2 => edges
+                            .tier(1.0, 1.0)
+                            .cloud(cloud_speeds[0])
+                            .tier(up, dn)
+                            .clouds(cloud_speeds[1..].iter().copied())
+                            .build(),
+                        _ => edges.clouds(cloud_speeds).build(),
+                    };
                     let jobs = raw_jobs
                         .into_iter()
                         .map(|(r, w, up, dn, o)| Job::new(EdgeId(o % ne), r, w, up, dn))

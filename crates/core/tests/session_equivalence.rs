@@ -148,7 +148,9 @@ proptest! {
     /// decision points, which the engine does *not* promise keep the
     /// schedule bit-identical (see the session module docs) — but the
     /// result must still be a valid schedule that completes every job,
-    /// and its max stretch must stay finite.
+    /// and its max stretch must stay finite and at least 1, up to the
+    /// rounding every stretch check allows (a job that ran alone can
+    /// still divide out to 1 − 2⁻⁵²).
     #[test]
     fn paused_sessions_still_produce_valid_schedules(
         inst in arb_instance(),
@@ -178,7 +180,10 @@ proptest! {
                 "{} paused schedule invalid", kind
             );
             let stretch = max_stretch(&inst, &out.schedule);
-            prop_assert!(stretch.is_finite() && stretch >= 1.0, "{} stretch {}", kind, stretch);
+            prop_assert!(
+                stretch.is_finite() && stretch >= 1.0 - 1e-9,
+                "{} stretch {}", kind, stretch
+            );
         }
     }
 }

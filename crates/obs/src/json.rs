@@ -137,8 +137,10 @@ impl Json {
 }
 
 /// Writes `x` in its shortest round-trip form; non-finite values become
-/// `null` (JSON has no NaN/inf).
-fn write_num(out: &mut String, x: f64) {
+/// `null` (JSON has no NaN/inf). Public so list-in-string fields (the
+/// trace `spec` record's comma-joined speeds) format their numbers
+/// exactly as number fields do.
+pub fn write_num(out: &mut String, x: f64) {
     if !x.is_finite() {
         out.push_str("null");
     } else if x == x.trunc() && x.abs() < 1e15 {

@@ -261,6 +261,24 @@ impl Instance {
                     message: format!("bad {what}: {e}"),
                 })
             };
+            // A number that must also satisfy `ok` (described by `rule`):
+            // job and window fields are checked here, so a bad file is a
+            // typed parse error rather than a constructor panic.
+            let checked = |tok: Option<&str>, what: &str, ok: fn(f64) -> bool, rule: &str| {
+                let x = parse(tok, what)?;
+                if ok(x) {
+                    Ok(x)
+                } else {
+                    Err(InstanceError::Parse {
+                        line: lineno + 1,
+                        message: format!("bad {what}: {x} is not {rule}"),
+                    })
+                }
+            };
+            let index = |tok: Option<&str>, what: &str| {
+                checked(tok, what, |x| x >= 0.0 && x.fract() == 0.0, "an index").map(|x| x as usize)
+            };
+            let nonneg = |x: f64| x.is_finite() && x >= 0.0;
             match kind {
                 "edge" => edge_speeds.push(parse(toks.next(), "edge speed")?),
                 "cloud" => {
@@ -282,17 +300,28 @@ impl Instance {
                     hops.push((up, dn));
                 }
                 "window" => {
-                    let k = parse(toks.next(), "cloud index")? as usize;
-                    let a = parse(toks.next(), "window start")?;
-                    let b = parse(toks.next(), "window end")?;
+                    let k = index(toks.next(), "cloud index")?;
+                    let a = checked(toks.next(), "window start", f64::is_finite, "finite")?;
+                    let b = checked(toks.next(), "window end", f64::is_finite, "finite")?;
+                    if !Time::new(b).approx_ge(Time::new(a)) {
+                        return Err(InstanceError::Parse {
+                            line: lineno + 1,
+                            message: format!("window end {b} precedes its start {a}"),
+                        });
+                    }
                     windows.push((k, a, b));
                 }
                 "job" => {
-                    let origin = parse(toks.next(), "origin")? as usize;
-                    let release = parse(toks.next(), "release")?;
-                    let work = parse(toks.next(), "work")?;
-                    let up = parse(toks.next(), "uplink")?;
-                    let dn = parse(toks.next(), "downlink")?;
+                    let origin = index(toks.next(), "origin")?;
+                    let release = checked(toks.next(), "release", nonneg, "finite and >= 0")?;
+                    let work = checked(
+                        toks.next(),
+                        "work",
+                        |x| x.is_finite() && x > 0.0,
+                        "finite and > 0",
+                    )?;
+                    let up = checked(toks.next(), "uplink", nonneg, "finite and >= 0")?;
+                    let dn = checked(toks.next(), "downlink", nonneg, "finite and >= 0")?;
                     jobs.push(Job::new(EdgeId(origin), release, work, up, dn));
                 }
                 other => {
@@ -560,6 +589,31 @@ mod tests {
         assert!(matches!(err, InstanceError::Parse { line: 3, .. }));
         let err = Instance::from_text("edge 1\njob 0 0 1 abc 0\n").unwrap_err();
         assert!(matches!(err, InstanceError::Parse { line: 2, .. }));
+    }
+
+    #[test]
+    fn out_of_range_fields_are_parse_errors() {
+        for bad in [
+            "job 0 0 -1 0 0",
+            "job 0 0 0 0 0",
+            "job 0 nan 1 0 0",
+            "job 0 -2 1 0 0",
+            "job 0 0 inf 0 0",
+            "job 0 0 1 -1 0",
+            "job 0 0 1 0 nan",
+            "job -1 0 1 0 0",
+            "job 0.7 0 1 0 0",
+            "window 0 inf 5",
+            "window 0 7 5",
+            "window 0 0 nan",
+            "window -1 0 5",
+        ] {
+            let err = Instance::from_text(&format!("edge 1\ncloud 1\n{bad}\n")).unwrap_err();
+            assert!(
+                matches!(err, InstanceError::Parse { line: 3, .. }),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -282,17 +282,7 @@ impl Forecast {
     /// proptest below); it just skips the profile loads. `speed` is the
     /// target CPU's speed; `(up, work, dn)` are the remaining volumes.
     pub fn pristine(target: Target, up: f64, work: f64, dn: f64, speed: f64, now: Time) -> Self {
-        Forecast::pristine_quot(target, up, work / speed, dn, now)
-    }
-
-    /// [`Self::pristine`] with the CPU division already performed:
-    /// `exec` is `work / speed`. The division is the only
-    /// volume-dependent operation in the closed form that is not a plain
-    /// addition, and IEEE-754 division is deterministic — so a caller
-    /// that evaluates the same (volumes, speed) pair round after round
-    /// can cache the quotient once and replay the additions here,
-    /// bit-identical to recomputing `pristine` from scratch.
-    pub fn pristine_quot(target: Target, up: f64, exec: f64, dn: f64, now: Time) -> Self {
+        let exec = work / speed;
         match target {
             Target::Edge => {
                 // start = free.max(now) == now; end = start + work/speed.

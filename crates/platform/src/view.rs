@@ -366,11 +366,15 @@ impl<'a> SimView<'a> {
     }
 
     /// Smallest contention-free remaining duration of job `id` over every
-    /// target (edge + all cloud processors).
+    /// target (edge + all live cloud processors). A removed cloud keeps
+    /// its id and last speed in the spec but never runs work again, so it
+    /// prices nothing.
     pub fn best_duration(&self, id: JobId) -> f64 {
         let mut best = self.duration_if_placed(id, Target::Edge);
         for k in self.spec().clouds() {
-            best = best.min(self.duration_if_placed(id, Target::Cloud(k)));
+            if self.platform.map_or(true, |p| p.cloud_live(k)) {
+                best = best.min(self.duration_if_placed(id, Target::Cloud(k)));
+            }
         }
         best
     }
@@ -570,5 +574,26 @@ mod tests {
         assert!((view.forced_stretch(JobId(0)) - 8.5 / 7.0).abs() < 1e-12);
         // Remaining on edge: 4 work / 0.5 speed.
         assert_eq!(view.remaining_on_edge(JobId(0)), 8.0);
+    }
+
+    #[test]
+    fn removed_clouds_do_not_price_best_duration() {
+        let (inst, states) = fixture();
+        let arena = JobArena::from_states(&inst, &states);
+        let pending = PendingSet::from_states(&inst, &states);
+        let never = PlatformState::new(inst.spec.clone());
+        let mut left = PlatformState::new(inst.spec.clone());
+        // Fresh on the speed-4 cloud: 2 + 4/4 + 1 = 4, faster than 7.
+        let fast = left.add_cloud(4.0).unwrap();
+        left.remove_cloud(fast).unwrap();
+        let now = Time::new(2.0);
+        let twin = SimView::new(&inst, now, &arena, &pending).with_platform(&never);
+        let view = SimView::new(&inst, now, &arena, &pending).with_platform(&left);
+        assert_eq!(twin.best_duration(JobId(0)), 7.0);
+        assert_eq!(view.best_duration(JobId(0)), twin.best_duration(JobId(0)));
+        assert_eq!(
+            view.forced_stretch(JobId(0)).to_bits(),
+            twin.forced_stretch(JobId(0)).to_bits()
+        );
     }
 }

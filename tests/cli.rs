@@ -407,6 +407,24 @@ fn bad_usage_exits_nonzero() {
 }
 
 #[test]
+fn out_of_range_instance_fields_exit_with_the_validation_code() {
+    let dir = std::env::temp_dir().join(format!("mmsec-bad-inst-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let inst = dir.join("inst.txt");
+    // Negative work is a typed parse error (exit 4), never a constructor
+    // panic (exit 101).
+    std::fs::write(&inst, "edge 1\ncloud 1\njob 0 0 -1 0 0\n").unwrap();
+    let out = mmsec()
+        .args(["run", "--instance", inst.to_str().unwrap()])
+        .output()
+        .expect("run runs");
+    assert_eq!(out.status.code(), Some(4));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 3"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_export_import_round_trips_through_the_binary() {
     let dir = std::env::temp_dir().join(format!("mmsec-trace-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
