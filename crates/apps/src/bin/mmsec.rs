@@ -17,10 +17,12 @@ use mmsec_apps::serve::{serve, ServeConfig};
 use mmsec_apps::server::{run_listener, run_sharded, Listen, ServerConfig};
 use mmsec_core::PolicyKind;
 use mmsec_platform::obs::{
-    ChromeTraceWriter, Fanout, FlightRecorder, MetricsRecorder, PhaseProfiler, Shared,
+    ChromeTraceWriter, Event, Fanout, FlightRecorder, MetricsRecorder, PhaseKind, PhaseProfiler,
+    Shared,
 };
 use mmsec_platform::{
-    gantt, validate, FaultConfig, GanttOptions, Instance, Simulation, StretchReport, Target,
+    gantt, validate, CloudId, FaultConfig, GanttOptions, Instance, JobId, Observer, Phase,
+    Simulation, StretchReport, Target,
 };
 use mmsec_workload::{KangConfig, RandomCcrConfig};
 use std::collections::HashMap;
@@ -116,6 +118,40 @@ fn load_instance(flags: &HashMap<String, String>) -> Instance {
         .unwrap_or_else(|e| fail(CliError::Validation(format!("cannot parse {path}: {e}"))))
 }
 
+/// The `run -v` event trace: one line per decision point (invoked or
+/// gated), holding its time, its pending count, and the activities the
+/// engine then granted, read from that step's `Placed` events.
+#[derive(Default)]
+struct DecisionLog {
+    lines: Vec<(f64, usize, Vec<String>)>,
+}
+
+impl Observer for DecisionLog {
+    fn on_event(&mut self, event: &Event) {
+        match event {
+            Event::DecideStart { t, pending } | Event::DecideSkipped { t, pending } => {
+                self.lines.push((t.seconds(), *pending, Vec::new()));
+            }
+            Event::Placed {
+                job, cloud, phase, ..
+            } => {
+                let phase = match phase {
+                    PhaseKind::Uplink => Phase::Uplink,
+                    PhaseKind::Compute => Phase::Compute,
+                    PhaseKind::Downlink => Phase::Downlink,
+                };
+                // A transfer's `target` is its origin edge's port; print
+                // the cloud the job is committed to instead.
+                let target = cloud.map_or(Target::Edge, |k| Target::Cloud(CloudId(k)));
+                if let Some((_, _, acts)) = self.lines.last_mut() {
+                    acts.push(format!("{}:{phase}@{target}", JobId(*job)));
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else { usage() };
@@ -181,11 +217,6 @@ fn main() {
                 fail(CliError::Usage(format!("unknown policy {policy_name}")));
             };
             let mut policy = kind.build(get(&flags, "seed", 0));
-            let verbose = flags.contains_key("verbose");
-            let engine_opts = mmsec_platform::EngineOptions {
-                record_events: verbose,
-                ..mmsec_platform::EngineOptions::default()
-            };
 
             // Fault injection: --fault-mtbf enables a uniform seeded
             // exponential crash/recover model on every unit (docs/faults.md).
@@ -224,12 +255,16 @@ fn main() {
             let metrics = Shared::new(MetricsRecorder::new());
             let chrome = Shared::new(ChromeTraceWriter::new());
             let flight = Shared::new(FlightRecorder::default());
+            let decisions = Shared::new(DecisionLog::default());
             let mut fan = Fanout::new();
             if flags.contains_key("metrics") {
                 fan.push(Box::new(metrics.clone()));
             }
             if flags.contains_key("trace") {
                 fan.push(Box::new(chrome.clone()));
+            }
+            if flags.contains_key("verbose") {
+                fan.push(Box::new(decisions.clone()));
             }
             fan.push(Box::new(flight.clone()));
             let shared_fan = Shared::new(fan);
@@ -241,7 +276,6 @@ fn main() {
 
             let mut sim = Simulation::of(&inst)
                 .policy(policy.as_mut())
-                .options(engine_opts)
                 .observer(&mut engine_side);
             if let Some(plan) = &fault_plan {
                 sim = sim.faults(plan);
@@ -302,21 +336,13 @@ fn main() {
             if flags.contains_key("gantt") {
                 println!("\n{}", gantt(&inst, &out.schedule, GanttOptions::default()));
             }
-            if let Some(log) = &out.event_log {
-                println!("\nevent trace ({} decisions):", log.len());
-                for rec in log {
-                    let acts: Vec<String> = rec
-                        .activations
-                        .iter()
-                        .map(|(j, p, t)| format!("{j}:{p}@{t}"))
-                        .collect();
-                    println!(
-                        "  t={:<10.4} pending={:<3} [{}]",
-                        rec.time.seconds(),
-                        rec.pending,
-                        acts.join(" ")
-                    );
-                }
+            if flags.contains_key("verbose") {
+                decisions.with(|log| {
+                    println!("\nevent trace ({} decisions):", log.lines.len());
+                    for (t, pending, acts) in &log.lines {
+                        println!("  t={t:<10.4} pending={pending:<3} [{}]", acts.join(" "));
+                    }
+                });
             }
             if let Some(path) = flags.get("metrics") {
                 let doc = metrics.with(|m| m.to_json_string());

@@ -6,7 +6,7 @@ use crate::edge_only::EdgeOnly;
 use crate::greedy::Greedy;
 use crate::srpt::Srpt;
 use crate::ssf_edf::SsfEdf;
-use mmsec_platform::OnlineScheduler;
+use mmsec_platform::{DirectiveBuffer, Instance, ObserverHandle, OnlineScheduler, SimView};
 
 /// The policies of the paper's evaluation (§VI) plus the extra baselines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -89,11 +89,35 @@ impl PolicyKind {
     /// triggers a full recompute. Schedules must be bit-identical to
     /// [`PolicyKind::build`] — the equivalence proptests compare the two.
     pub fn build_reference(self, seed: u64) -> Box<dyn OnlineScheduler> {
-        match self {
+        let policy: Box<dyn OnlineScheduler> = match self {
             PolicyKind::EdgeOnly => Box::new(EdgeOnly::new().with_recompute()),
             PolicyKind::SsfEdf => Box::new(SsfEdf::new().with_recompute()),
             other => other.build(seed),
-        }
+        };
+        Box::new(EveryEvent(policy))
+    }
+}
+
+/// Forwards to a policy but keeps the default
+/// [`DecisionCadence::EveryEvent`](mmsec_platform::DecisionCadence::EveryEvent),
+/// so the engine invokes its `decide` at every event.
+struct EveryEvent(Box<dyn OnlineScheduler>);
+
+impl OnlineScheduler for EveryEvent {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn on_start(&mut self, instance: &Instance) {
+        self.0.on_start(instance);
+    }
+
+    fn decide(&mut self, view: &SimView<'_>, out: &mut DirectiveBuffer) {
+        self.0.decide(view, out);
+    }
+
+    fn attach_observer(&mut self, observer: ObserverHandle) {
+        self.0.attach_observer(observer);
     }
 }
 

@@ -4,15 +4,10 @@
 //! must produce a bit-identical [`Schedule`] (and matching discrete
 //! stats) to a reference run with gating disabled and the policies in
 //! fresh-recompute mode ([`PolicyKind::build_reference`]).
-//!
-//! The reference run also uses the reference binary-heap event queue
-//! (`reference_queue: true`) while the optimized run uses the calendar
-//! queue, so every case doubles as a whole-engine differential test of
-//! the two queue implementations.
 
 use mmsec_core::PolicyKind;
 use mmsec_faults::FaultConfig;
-use mmsec_platform::{EngineOptions, Instance, Simulation};
+use mmsec_platform::{Instance, Simulation};
 use mmsec_sim::Time;
 use mmsec_workload::{KangConfig, RandomCcrConfig};
 use proptest::prelude::*;
@@ -61,24 +56,10 @@ fn assert_equivalent(
 ) -> Result<(), TestCaseError> {
     let mut fast = kind.build(policy_seed);
     let mut reference = kind.build_reference(policy_seed);
-    let gated = EngineOptions::default();
-    prop_assert!(gated.decision_gating);
-    prop_assert!(!gated.reference_queue); // optimized side: calendar queue
-    let ungated = EngineOptions {
-        decision_gating: false,
-        reference_queue: true,
-        ..EngineOptions::default()
-    };
     let (a, b) = match faults {
         None => (
-            Simulation::of(inst)
-                .policy(fast.as_mut())
-                .options(gated)
-                .run(),
-            Simulation::of(inst)
-                .policy(reference.as_mut())
-                .options(ungated)
-                .run(),
+            Simulation::of(inst).policy(fast.as_mut()).run(),
+            Simulation::of(inst).policy(reference.as_mut()).run(),
         ),
         Some((mtbf, mttr, fault_seed)) => {
             let cfg = FaultConfig::uniform_exponential(
@@ -91,12 +72,10 @@ fn assert_equivalent(
             (
                 Simulation::of(inst)
                     .policy(fast.as_mut())
-                    .options(gated)
                     .faults(&plan)
                     .run(),
                 Simulation::of(inst)
                     .policy(reference.as_mut())
-                    .options(ungated)
                     .faults(&plan)
                     .run(),
             )
@@ -153,11 +132,6 @@ fn gating_skips_events_on_larger_instances_without_changing_schedules() {
         let a = Simulation::of(&inst).policy(fast.as_mut()).run().unwrap();
         let b = Simulation::of(&inst)
             .policy(reference.as_mut())
-            .options(EngineOptions {
-                decision_gating: false,
-                reference_queue: true,
-                ..EngineOptions::default()
-            })
             .run()
             .unwrap();
         assert_eq!(a.schedule, b.schedule, "{kind} schedule differs");

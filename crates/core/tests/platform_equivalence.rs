@@ -21,7 +21,7 @@
 
 use mmsec_core::PolicyKind;
 use mmsec_faults::FaultConfig;
-use mmsec_platform::{EdgeId, EngineOptions, Instance, PlatformSpec, Simulation};
+use mmsec_platform::{CloudId, EdgeId, Instance, PlatformSpec, Simulation};
 use mmsec_sim::Time;
 use mmsec_workload::{KangConfig, RandomCcrConfig};
 use proptest::prelude::*;
@@ -81,16 +81,9 @@ fn assert_grown_equals_frozen(
             .compile(fault_seed, Time::new(1e5))
     });
 
-    // Batch: the frozen instance, everything known up front — on the
-    // reference binary-heap event queue, so the grown-platform comparison
-    // (calendar queue) also differentially pins the two queue variants.
+    // Batch: the frozen instance, everything known up front.
     let mut batch_policy = kind.build(policy_seed);
-    let mut sim = Simulation::of(&inst)
-        .policy(batch_policy.as_mut())
-        .options(EngineOptions {
-            reference_queue: true,
-            ..EngineOptions::default()
-        });
+    let mut sim = Simulation::of(&inst).policy(batch_policy.as_mut());
     if let Some(plan) = &plan {
         sim = sim.faults(plan);
     }
@@ -167,12 +160,13 @@ proptest! {
 
     /// A mid-run platform mutation lands at an arbitrary paused instant —
     /// almost always strictly *inside* a calendar bucket, between two
-    /// rotations — and bumps the decision epoch there. The calendar queue
-    /// must absorb the bump (and the resulting version-mismatch rebuilds
-    /// of every policy's round state) exactly like the reference binary
-    /// heap: schedules stay bit-identical.
+    /// rotations — and bumps the decision epoch there. Every policy's
+    /// incremental state (gated decides, cached plans, round state keyed
+    /// by platform version) must absorb it exactly like its reference
+    /// mode, which recomputes from scratch at every event: schedules stay
+    /// bit-identical.
     #[test]
-    fn midrun_mutation_between_rotations_matches_reference_queue(
+    fn midrun_mutation_between_rotations_matches_reference_policy(
         inst in arb_instance(),
         policy_seed in 0u64..1000,
         cut in 0.05f64..0.95,
@@ -185,22 +179,25 @@ proptest! {
             .fold(0.0_f64, f64::max);
         let empty = Instance::new(inst.spec.clone(), Vec::new()).expect("empty instance");
         for kind in PolicyKind::ALL {
-            let run = |reference_queue: bool| {
-                let mut policy = kind.build(policy_seed);
-                let mut session = Simulation::of(&empty)
-                    .policy(policy.as_mut())
-                    .options(EngineOptions {
-                        reference_queue,
-                        ..EngineOptions::default()
-                    })
-                    .session();
+            let run = |reference: bool| {
+                let mut policy = if reference {
+                    kind.build_reference(policy_seed)
+                } else {
+                    kind.build(policy_seed)
+                };
+                let mut session = Simulation::of(&empty).policy(policy.as_mut()).session();
                 let mut mutated = false;
                 for job in &inst.jobs {
                     if !mutated && job.release.seconds() > cut * horizon {
                         // Pause mid-stream (mid-bucket), churn the
                         // platform, and resume: join units, retune a live
-                        // link, drop the cloud again before any decide
-                        // can commit to it.
+                        // link, slow two live units down, and drop a live
+                        // cloud (killing its work in flight) as well as
+                        // the joined one before any decide can commit to
+                        // it. The slowed units make a stale plan's dropped
+                        // cloud look better than every live target, so a
+                        // policy that keeps its plan across the version
+                        // bump parks work there for good.
                         let t = Time::new(cut * horizon);
                         if t > session.now() {
                             let _ = session.run_until(t).expect("advance to cut");
@@ -209,7 +206,12 @@ proptest! {
                         let k = session.add_cloud(1.7).expect("join cloud");
                         session.set_link(e, 0.6).expect("retune new link");
                         session.set_link(EdgeId(0), 0.9).expect("retune live link");
-                        session.remove_cloud(k).expect("leave cloud");
+                        session.set_edge_speed(EdgeId(0), 0.3).expect("re-speed edge");
+                        session.set_cloud_speed(CloudId(0), 0.5).expect("re-speed cloud");
+                        session.remove_cloud(CloudId(1)).expect("drop live cloud");
+                        if k != CloudId(1) {
+                            session.remove_cloud(k).expect("leave cloud");
+                        }
                         mutated = true;
                     }
                     if job.release > session.now() {
@@ -220,18 +222,18 @@ proptest! {
                 session.drain().expect("drains");
                 session.into_outcome()
             };
-            let calendar = run(false);
-            let heap = run(true);
+            let fast = run(false);
+            let reference = run(true);
             prop_assert_eq!(
-                &calendar.schedule,
-                &heap.schedule,
-                "{} schedule differs across queues under mid-run mutation",
+                &fast.schedule,
+                &reference.schedule,
+                "{} schedule differs from its reference mode under mid-run mutation",
                 kind
             );
             prop_assert_eq!(
-                calendar.stats.restarts,
-                heap.stats.restarts,
-                "{} restarts differ across queues under mid-run mutation",
+                fast.stats.restarts,
+                reference.stats.restarts,
+                "{} restarts differ from its reference mode under mid-run mutation",
                 kind
             );
         }

@@ -14,7 +14,7 @@
 
 use mmsec_core::PolicyKind;
 use mmsec_faults::FaultConfig;
-use mmsec_platform::{max_stretch, validate, EngineOptions, Instance, Simulation};
+use mmsec_platform::{max_stretch, validate, Instance, Simulation};
 use mmsec_sim::Time;
 use mmsec_workload::{KangConfig, RandomCcrConfig};
 use proptest::prelude::*;
@@ -74,16 +74,9 @@ fn assert_session_equals_batch(
             .compile(fault_seed, Time::new(1e5))
     });
 
-    // Batch: everything known up front — on the reference binary-heap
-    // event queue, so the comparison against the streamed session (on the
-    // calendar queue) also differentially pins the two queue variants.
+    // Batch: everything known up front.
     let mut batch_policy = kind.build(policy_seed);
-    let mut sim = Simulation::of(&inst)
-        .policy(batch_policy.as_mut())
-        .options(EngineOptions {
-            reference_queue: true,
-            ..EngineOptions::default()
-        });
+    let mut sim = Simulation::of(&inst).policy(batch_policy.as_mut());
     if let Some(plan) = &plan {
         sim = sim.faults(plan);
     }

@@ -222,6 +222,7 @@ impl Observer for ChromeTraceWriter {
                 phase,
                 interval,
                 volume,
+                ..
             } => {
                 let tid = self.tid_for(*target, *phase);
                 let name = format!("job-{job} {}", phase.label());
@@ -380,6 +381,7 @@ mod tests {
             job: 0,
             origin: 0,
             target: Unit::Edge(0),
+            cloud: None,
             phase: PhaseKind::Compute,
             interval: Interval::from_secs(0.0, 1.5),
             volume: 0.0,
@@ -388,6 +390,7 @@ mod tests {
             job: 0,
             origin: 0,
             target: Unit::Cloud(0),
+            cloud: Some(0),
             phase: PhaseKind::Compute,
             interval: Interval::from_secs(1.5, 2.0),
             volume: 0.0,

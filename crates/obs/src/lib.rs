@@ -30,9 +30,6 @@
 //! The crate also hosts the workspace's one JSON codec ([`json`]): the
 //! document writer behind these outputs and the zero-allocation
 //! one-object-per-line path of the serving protocol.
-//!
-//! With the `tracing` feature enabled, `forward_to_tracing` additionally
-//! mirrors events to `tracing` subscribers.
 
 #![warn(missing_docs)]
 
@@ -186,8 +183,12 @@ pub enum Event {
         job: usize,
         /// Origin edge unit of the job.
         origin: usize,
-        /// Resource the interval occupies.
+        /// Resource the interval occupies. Transfers occupy the origin
+        /// edge's ports, so this names that edge for them.
         target: Unit,
+        /// The cloud processor the job is committed to (`None` for a job
+        /// running on its own edge): the other end of a transfer.
+        cloud: Option<usize>,
         /// Kind of work performed.
         phase: PhaseKind,
         /// The occupied `[start, end)` virtual-time interval.
@@ -427,25 +428,6 @@ impl<O: Observer + ?Sized> Observer for Shared<O> {
 
 /// Type-erased shared observer handle (see [`Shared::handle`]).
 pub type ObserverHandle = Shared<dyn Observer>;
-
-/// Mirrors an event to `tracing` subscribers (only with the `tracing`
-/// feature; a no-op build of the macro set otherwise).
-#[cfg(feature = "tracing")]
-pub fn forward_to_tracing(event: &Event) {
-    tracing::event!(tracing::Level::DEBUG, "{:?}", event);
-}
-
-/// Observer that forwards every event to `tracing` subscribers.
-#[cfg(feature = "tracing")]
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TracingObserver;
-
-#[cfg(feature = "tracing")]
-impl Observer for TracingObserver {
-    fn on_event(&mut self, event: &Event) {
-        forward_to_tracing(event);
-    }
-}
 
 #[cfg(test)]
 mod tests {

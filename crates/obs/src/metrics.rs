@@ -397,6 +397,7 @@ mod tests {
             job: 0,
             origin: 0,
             target: Unit::Edge(0),
+            cloud: None,
             phase: PhaseKind::Compute,
             interval: Interval::from_secs(0.0, 2.0),
             volume: 0.0,
@@ -405,6 +406,7 @@ mod tests {
             job: 1,
             origin: 0,
             target: Unit::Cloud(0),
+            cloud: Some(0),
             phase: PhaseKind::Uplink,
             interval: Interval::from_secs(0.0, 1.0),
             volume: 3.5,

@@ -7,7 +7,7 @@ use crate::job::JobId;
 use crate::spec::{CloudId, EdgeId};
 use mmsec_faults::{FaultBoundary, FaultPlan};
 use mmsec_obs::{PhaseKind, Unit};
-use mmsec_sim::{CalendarQueue, EventQueue, Time};
+use mmsec_sim::CalendarQueue;
 
 /// A future decision point known in advance (phase completions are
 /// discovered dynamically and never enter the queue: the engine advances
@@ -49,7 +49,7 @@ pub(super) const RANK_RELEASE: u8 = 2;
 /// Every rank currently queued qualifies — boundaries flip blocked
 /// resources, fault transitions flip availability, releases change the
 /// pending membership. The classification is by rank (via
-/// [`mmsec_sim::EventQueue::pop_ranked`]) so a future bookkeeping-only
+/// [`CalendarQueue::pop_ranked`]) so a future bookkeeping-only
 /// rank can opt out without the engine matching on payloads; the one
 /// payload-level refinement is a [`EngineEvent::LinkChange`] that re-reads
 /// an unchanged factor, which the engine demotes to a no-op itself.
@@ -64,84 +64,9 @@ pub(super) fn is_fault_event(ev: &EngineEvent) -> bool {
     !matches!(ev, EngineEvent::Release(_) | EngineEvent::Boundary)
 }
 
-/// The engine's future-event queue: the calendar queue on the hot path,
-/// with the reference binary heap selectable per run
-/// ([`super::EngineOptions::reference_queue`]). Both pop in the exact same
-/// `(time, rank, seq)` order, so which variant a run uses is unobservable
-/// in its schedule — pinned by the engine equivalence proptests, which run
-/// one engine per variant and compare outcomes bit-for-bit.
-#[derive(Clone, Debug)]
-pub(super) enum EngineQueue {
-    /// Calendar/bucket queue (the default).
-    Calendar(CalendarQueue<EngineEvent>),
-    /// Reference binary heap.
-    Heap(EventQueue<EngineEvent>),
-}
-
-impl EngineQueue {
-    /// Creates an empty queue of the requested variant.
-    pub(super) fn new(reference: bool) -> Self {
-        if reference {
-            EngineQueue::Heap(EventQueue::new())
-        } else {
-            EngineQueue::Calendar(CalendarQueue::new())
-        }
-    }
-
-    /// Number of pending events.
-    pub(super) fn len(&self) -> usize {
-        match self {
-            EngineQueue::Calendar(q) => q.len(),
-            EngineQueue::Heap(q) => q.len(),
-        }
-    }
-
-    /// True when no events are pending.
-    pub(super) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schedules `payload` at `time` with tie-break `rank`.
-    #[inline]
-    pub(super) fn push(&mut self, time: Time, rank: u8, payload: EngineEvent) {
-        match self {
-            EngineQueue::Calendar(q) => q.push(time, rank, payload),
-            EngineQueue::Heap(q) => q.push(time, rank, payload),
-        }
-    }
-
-    /// Time of the next event without removing it.
-    #[inline]
-    pub(super) fn peek_time(&self) -> Option<Time> {
-        match self {
-            EngineQueue::Calendar(q) => q.peek_time(),
-            EngineQueue::Heap(q) => q.peek_time(),
-        }
-    }
-
-    /// Removes and returns the next event as `(time, payload)` (the engine
-    /// itself always wants the rank; tests use this shorthand).
-    #[cfg(test)]
-    pub(super) fn pop(&mut self) -> Option<(Time, EngineEvent)> {
-        match self {
-            EngineQueue::Calendar(q) => q.pop(),
-            EngineQueue::Heap(q) => q.pop(),
-        }
-    }
-
-    /// Removes and returns the next event as `(time, rank, payload)`.
-    #[inline]
-    pub(super) fn pop_ranked(&mut self) -> Option<(Time, u8, EngineEvent)> {
-        match self {
-            EngineQueue::Calendar(q) => q.pop_ranked(),
-            EngineQueue::Heap(q) => q.pop_ranked(),
-        }
-    }
-}
-
 /// Pushes every availability boundary of a compiled fault plan into the
 /// queue (called right after [`prime_queue`] when a plan is supplied).
-pub(super) fn prime_faults(queue: &mut EngineQueue, plan: &FaultPlan) {
+pub(super) fn prime_faults(queue: &mut CalendarQueue<EngineEvent>, plan: &FaultPlan) {
     for b in plan.boundaries() {
         // Recoveries take the earlier rank (see the rank table above);
         // crashes and link changes fire after them at equal times.
@@ -162,10 +87,9 @@ pub(super) fn prime_faults(queue: &mut EngineQueue, plan: &FaultPlan) {
 }
 
 /// Builds the initial event queue: one release per job plus both
-/// boundaries of every cloud availability window. `reference` selects the
-/// binary-heap variant over the calendar queue.
-pub(super) fn prime_queue(instance: &Instance, reference: bool) -> EngineQueue {
-    let mut queue = EngineQueue::new(reference);
+/// boundaries of every cloud availability window.
+pub(super) fn prime_queue(instance: &Instance) -> CalendarQueue<EngineEvent> {
+    let mut queue = CalendarQueue::new();
     for (id, job) in instance.iter_jobs() {
         queue.push(job.release, RANK_RELEASE, EngineEvent::Release(id));
     }
@@ -179,9 +103,9 @@ pub(super) fn prime_queue(instance: &Instance, reference: bool) -> EngineQueue {
     queue
 }
 
-/// Automatic event cap used when [`super::EngineOptions::max_events`] is
-/// `None`: `1000 + 64·n + 8·w`, where `n` is the number of jobs and `w`
-/// the total number of cloud availability windows.
+/// The engine's event cap: `1000 + 64·n + 8·w`, where `n` is the number
+/// of jobs and `w` the total number of cloud availability windows. A
+/// session adds one event per capped pause and per platform mutation.
 ///
 /// Rationale: a well-behaved policy generates O(1) events per job — one
 /// release, at most three phase completions, and a bounded number of
@@ -278,7 +202,7 @@ mod tests {
         let mut plan = FaultPlan::empty(1, 1);
         plan.add_edge_down(0, Interval::from_secs(1.0, 2.0));
         plan.add_cloud_down(0, Interval::from_secs(2.0, 3.0));
-        let mut queue = prime_queue(&inst, false);
+        let mut queue = prime_queue(&inst);
         prime_faults(&mut queue, &plan);
         let fired: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
         assert_eq!(
@@ -322,7 +246,7 @@ mod tests {
             .with_cloud_unavailability(CloudId(0), &[Interval::from_secs(2.0, 5.0)]);
         let jobs = vec![Job::new(EdgeId(0), 2.0, 1.0, 0.0, 0.0)];
         let inst = Instance::new(spec, jobs).unwrap();
-        let mut queue = prime_queue(&inst, false);
+        let mut queue = prime_queue(&inst);
         // At t = 2 the window-start boundary outranks the release.
         let (t, ev) = queue.pop().unwrap();
         assert_eq!(t.seconds(), 2.0);

@@ -31,8 +31,7 @@
 //!   non-preemptive pinning;
 //! * [`events`] — the event queue priming, the automatic event cap
 //!   ([`events::auto_event_limit`]), and observer-taxonomy mapping;
-//! * [`outcome`] — [`RunOutcome`], [`RunStats`], [`EngineError`], and the
-//!   optional [`EventRecord`] log.
+//! * [`outcome`] — [`RunOutcome`], [`RunStats`], and [`EngineError`].
 //!
 //! # Allocation discipline
 //!
@@ -49,12 +48,14 @@
 //! The engine maintains a *decision epoch*, bumped only by transitions
 //! that can change a schedule: job releases, job completions,
 //! unit/link availability changes, and directive refusals. For policies
-//! declaring [`DecisionCadence::OnEpochChange`] (and under preemption),
-//! the policy call is skipped entirely at events where the epoch is
-//! unchanged and the previous directives are reused — bit-identical to
-//! deciding again, and visible in [`RunStats::decides`] versus
-//! [`RunStats::decide_skips`]. Policies read the epoch and the pending
-//! membership delta since their last call via
+//! declaring [`DecisionCadence::OnEpochChange`], the policy call is
+//! skipped entirely at events where the epoch is unchanged and the
+//! previous directives are reused — bit-identical to deciding again, and
+//! visible in [`RunStats::decides`] versus [`RunStats::decide_skips`].
+//! Gating needs preemption: without it, a pin can expire at a phase
+//! completion — not an epoch bump — so a gated run would miss the
+//! re-target an ungated run applies there. Policies read the epoch and
+//! the pending membership delta since their last call via
 //! [`SimView::decision_epoch`], [`SimView::delta_inserted`], and
 //! [`SimView::delta_removed`], enabling incremental priority structures
 //! instead of per-call rebuild-and-sort.
@@ -66,7 +67,7 @@ pub mod session;
 pub mod simulation;
 
 pub use grant::{greedy_allocate, remaining_volume, Activation};
-pub use outcome::{EngineError, EventRecord, RunOutcome, RunStats};
+pub use outcome::{EngineError, RunOutcome, RunStats};
 pub use session::{CompletionRecord, Session, SessionStats, SessionStatus};
 pub use simulation::Simulation;
 
@@ -132,8 +133,8 @@ pub trait OnlineScheduler {
     fn attach_observer(&mut self, _observer: ObserverHandle) {}
 }
 
-/// Engine knobs. Defaults reproduce the paper's model exactly; the other
-/// settings drive the ablation experiments.
+/// The model switches of §III. Defaults reproduce the paper's model
+/// exactly; the other settings drive the ablation experiments.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineOptions {
     /// Disable the one-port model: communications do not contend for ports
@@ -143,28 +144,6 @@ pub struct EngineOptions {
     pub allow_preemption: bool,
     /// Allow restarting a job from scratch on another resource (paper: true).
     pub allow_reexecution: bool,
-    /// Hard cap on decision events (guards against livelocking policies).
-    /// `None` picks [`events::auto_event_limit`] automatically.
-    pub max_events: Option<u64>,
-    /// Record a per-event log (time, pending count, activations) in
-    /// [`RunOutcome::event_log`] — for debugging and the CLI's `--trace`.
-    pub record_events: bool,
-    /// Decision-epoch gating (default true): skip the policy call at
-    /// events where no decision-relevant state changed since the last
-    /// invoked decide, reusing the previous directives. Only applies to
-    /// policies declaring [`DecisionCadence::OnEpochChange`], and only
-    /// under preemption (without it, a pin can expire at a phase
-    /// completion — not an epoch bump — so a gated run would miss the
-    /// re-target an ungated run applies there). Schedules are
-    /// bit-identical with the gate on or off; disable to measure its
-    /// effect or to force every-event decides while debugging a policy.
-    pub decision_gating: bool,
-    /// Use the reference binary-heap event queue instead of the calendar
-    /// queue (default false). The two pop in a bit-identical order for any
-    /// push sequence — this switch exists so differential tests (and the
-    /// CI `equivalence` job) can run whole engines against each other, and
-    /// as an escape hatch while profiling the queue itself.
-    pub reference_queue: bool,
 }
 
 impl Default for EngineOptions {
@@ -173,10 +152,6 @@ impl Default for EngineOptions {
             infinite_ports: false,
             allow_preemption: true,
             allow_reexecution: true,
-            max_events: None,
-            record_events: false,
-            decision_gating: true,
-            reference_queue: false,
         }
     }
 }

@@ -1,22 +1,10 @@
 //! Run results: statistics, outcomes, and failure modes of a simulation.
 
-use crate::activity::{Phase, Target};
 use crate::job::JobId;
 use crate::schedule::Schedule;
 use mmsec_sim::Time;
 use std::fmt;
 use std::time::Duration;
-
-/// One entry of the optional event log.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EventRecord {
-    /// Virtual time of the decision.
-    pub time: Time,
-    /// Number of released, unfinished jobs at the decision.
-    pub pending: usize,
-    /// Activities granted until the next event.
-    pub activations: Vec<(JobId, Phase, Target)>,
-}
 
 /// Failure modes of a simulation run.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,7 +48,7 @@ pub struct RunStats {
     pub events: u64,
     /// Number of events at which `scheduler.decide` was actually invoked.
     /// Always `events` unless decision-epoch gating skipped some (see
-    /// [`EngineOptions::decision_gating`](super::EngineOptions::decision_gating));
+    /// [`DecisionCadence::OnEpochChange`](super::DecisionCadence::OnEpochChange));
     /// `decides + decide_skips == events`.
     pub decides: u64,
     /// Number of events at which the policy call was skipped because no
@@ -81,9 +69,6 @@ pub struct RunOutcome {
     pub schedule: Schedule,
     /// Statistics.
     pub stats: RunStats,
-    /// Per-event log, present iff
-    /// [`EngineOptions::record_events`](super::EngineOptions::record_events).
-    pub event_log: Option<Vec<EventRecord>>,
 }
 
 #[cfg(test)]

@@ -42,14 +42,14 @@ use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use super::events::{
-    self, obs_phase, obs_unit, prime_faults, prime_queue, EngineEvent, EngineQueue, RANK_RELEASE,
+    self, obs_phase, obs_unit, prime_faults, prime_queue, EngineEvent, RANK_RELEASE,
 };
 use super::grant::{self, greedy_allocate, Activation};
-use super::outcome::{EngineError, EventRecord, RunOutcome, RunStats};
+use super::outcome::{EngineError, RunOutcome, RunStats};
 use super::{DecisionCadence, EngineOptions, OnlineScheduler};
 use mmsec_faults::FaultPlan;
 use mmsec_obs::{EnginePhase, Event as ObsEvent, Observer, PhaseProfiler, Unit};
-use mmsec_sim::{Interval, Time};
+use mmsec_sim::{CalendarQueue, Interval, Time};
 
 /// Evaluates the event expression only when an observer is attached: an
 /// unobserved session pays one branch per emission point and nothing else.
@@ -216,7 +216,7 @@ pub struct Session<'a> {
     /// hot loops below index individual columns so each sweep touches
     /// contiguous memory.
     jobs: JobArena,
-    queue: EngineQueue,
+    queue: CalendarQueue<EngineEvent>,
     /// The owned, versioned platform runtime. All platform changes —
     /// permanent mutations ([`Session::add_edge`] and friends) and fault
     /// replay — flow through it; while it stays static the engine takes
@@ -224,16 +224,17 @@ pub struct Session<'a> {
     platform: PlatformState,
     trace: TraceBuilder,
     stats: RunStats,
-    event_log: Option<Vec<EventRecord>>,
     now: Time,
     /// False until the first step: the virtual clock snaps to the
     /// earliest queued event then, so pre-start submissions can still
     /// move the start of time backwards.
     started: bool,
-    /// Event cap; recomputed from [`events::auto_event_limit`] on submit
-    /// (unless pinned by [`EngineOptions::max_events`]) and extended by
-    /// one per externally-imposed pause.
-    limit: u64,
+    /// The event cap is `limit_base + limit_extra`. The base is the
+    /// submitted workload's budget ([`events::auto_event_limit`]),
+    /// recomputed on submit; the extra is one event per capped pause and
+    /// per platform mutation, kept apart so a submit cannot drop it.
+    limit_base: u64,
+    limit_extra: u64,
 
     // Run-long buffers, reused across events (see "Allocation
     // discipline" in the engine module docs).
@@ -301,14 +302,12 @@ impl<'a> Session<'a> {
             );
         }
         let n = instance.num_jobs();
-        let limit = opts.max_events.unwrap_or_else(|| match faults {
-            Some(plan) => events::auto_event_limit_with_faults(&instance, plan),
-            None => events::auto_event_limit(&instance),
-        });
-        let gating = opts.decision_gating
-            && opts.allow_preemption
+        let limit_base = workload_budget(&instance, faults);
+        // Gating needs preemption (see "Decision-epoch gating" in the
+        // engine module docs).
+        let gating = opts.allow_preemption
             && scheduler.get_ref().cadence() == DecisionCadence::OnEpochChange;
-        let mut queue = prime_queue(&instance, opts.reference_queue);
+        let mut queue = prime_queue(&instance);
         if let Some(plan) = faults {
             prime_faults(&mut queue, plan);
         }
@@ -321,7 +320,6 @@ impl<'a> Session<'a> {
         let now = queue.peek_time().unwrap_or(Time::ZERO);
         let blocked = ResourceMap::new(spec, false);
         let has_unavailability = spec.has_unavailability();
-        let event_log = opts.record_events.then(Vec::new);
         let jobs = JobArena::fresh(&instance, spec);
 
         scheduler.get().on_start(&instance);
@@ -343,10 +341,10 @@ impl<'a> Session<'a> {
             platform,
             trace: TraceBuilder::new(n),
             stats: RunStats::default(),
-            event_log,
             now,
             started: false,
-            limit,
+            limit_base,
+            limit_extra: 0,
             pending: PendingSet::new(),
             buf: DirectiveBuffer::new(),
             activations: Vec::new(),
@@ -439,12 +437,7 @@ impl<'a> Session<'a> {
         };
         self.queue.push(at, RANK_RELEASE, EngineEvent::Release(id));
         // The livelock budget scales with the submitted workload.
-        if self.opts.max_events.is_none() {
-            self.limit = match self.faults {
-                Some(plan) => events::auto_event_limit_with_faults(&self.instance, plan),
-                None => events::auto_event_limit(&self.instance),
-            };
-        }
+        self.limit_base = workload_budget(&self.instance, self.faults);
         self.paused_at_bound = false;
         emit!(
             self,
@@ -530,27 +523,7 @@ impl<'a> Session<'a> {
     /// Returns the new platform version.
     pub fn remove_cloud(&mut self, k: CloudId) -> Result<u64, PlatformError> {
         let v = self.platform.remove_cloud(k)?;
-        for i in 0..self.jobs.len() {
-            if self.jobs.finished[i] || self.jobs.committed[i] != Some(Target::Cloud(k)) {
-                continue;
-            }
-            let had_progress =
-                self.jobs.up_done[i] + self.jobs.work_done[i] + self.jobs.dn_done[i] > 0.0;
-            self.jobs.committed[i] = None;
-            self.jobs.running[i] = None;
-            if had_progress {
-                self.jobs.reset_progress(i);
-                self.stats.restarts += 1;
-                self.trace.abandon(JobId(i));
-                if let Some(o) = self.observer.as_deref_mut() {
-                    o.on_event(&ObsEvent::JobKilled {
-                        t: self.now,
-                        job: i,
-                        unit: Unit::Cloud(k.0),
-                    });
-                }
-            }
-        }
+        self.kill_work_on(Unit::Cloud(k.0));
         self.platform_changed("remove-cloud", Unit::Cloud(k.0));
         Ok(v)
     }
@@ -592,6 +565,46 @@ impl<'a> Session<'a> {
         Ok(v)
     }
 
+    /// Work in flight on `unit` is lost (paper restart semantics), under a
+    /// crash fault and a permanent removal alike: every unfinished job
+    /// committed to the unit drops its commitment, and one with progress
+    /// is wiped, counted as a restart, and announced as `JobKilled`. An
+    /// edge's committed jobs are its own origin's local ones; its
+    /// cloud-committed jobs merely pause, as its ports are blocked while
+    /// it is down.
+    fn kill_work_on(&mut self, unit: Unit) {
+        let (target, origin) = match unit {
+            Unit::Edge(j) => (Target::Edge, Some(EdgeId(j))),
+            Unit::Cloud(k) => (Target::Cloud(CloudId(k)), None),
+            Unit::Hop(_) => unreachable!("a tier hop runs no work"),
+        };
+        for i in 0..self.jobs.len() {
+            if self.jobs.finished[i]
+                || self.jobs.committed[i] != Some(target)
+                || origin.is_some_and(|j| self.instance.job(JobId(i)).origin != j)
+            {
+                continue;
+            }
+            let had_progress =
+                self.jobs.up_done[i] + self.jobs.work_done[i] + self.jobs.dn_done[i] > 0.0;
+            self.jobs.committed[i] = None;
+            self.jobs.running[i] = None;
+            if had_progress {
+                self.jobs.reset_progress(i);
+                self.stats.restarts += 1;
+                self.trace.abandon(JobId(i));
+                emit!(
+                    self,
+                    ObsEvent::JobKilled {
+                        t: self.now,
+                        job: i,
+                        unit,
+                    }
+                );
+            }
+        }
+    }
+
     /// Bookkeeping shared by every committed platform mutation: the
     /// version bump is a decision-epoch bump (gated policies must
     /// re-decide), resource maps are re-sized to the new spec, a paused
@@ -608,7 +621,7 @@ impl<'a> Session<'a> {
         self.blocked_epoch = None;
         self.paused_at_bound = false;
         // The forced re-decide consumes one event of livelock budget.
-        self.limit += 1;
+        self.limit_extra += 1;
         emit!(
             self,
             ObsEvent::PlatformChanged {
@@ -738,7 +751,6 @@ impl<'a> Session<'a> {
         RunOutcome {
             schedule: self.trace.finish(),
             stats,
-            event_log: self.event_log,
         }
     }
 
@@ -822,9 +834,10 @@ impl<'a> Session<'a> {
         }
 
         self.stats.events += 1;
-        if self.stats.events > self.limit {
+        let limit = self.limit_base + self.limit_extra;
+        if self.stats.events > limit {
             self.prof_step_done(t_enter);
-            return Err(EngineError::EventLimit { limit: self.limit });
+            return Err(EngineError::EventLimit { limit });
         }
 
         // 2. Ask the policy for directives — unless gating is on and no
@@ -1042,18 +1055,6 @@ impl<'a> Session<'a> {
         for act in &self.activations {
             self.jobs.running[act.job.0] = Some(act.phase);
         }
-
-        if let Some(log) = self.event_log.as_mut() {
-            log.push(EventRecord {
-                time: self.now,
-                pending: self.pending.len(),
-                activations: self
-                    .activations
-                    .iter()
-                    .map(|a| (a.job, a.phase, a.target))
-                    .collect(),
-            });
-        }
         mark = self.prof_lap(mark, EnginePhase::Grant);
 
         // 5. Find the next event horizon. `act.remaining` was read from
@@ -1078,7 +1079,7 @@ impl<'a> Session<'a> {
         let t_adv = if capped {
             // An externally-imposed pause splits one engine step in two;
             // extend the livelock budget by the extra event.
-            self.limit += 1;
+            self.limit_extra += 1;
             bound.expect("capped implies a bound").max(self.now)
         } else {
             t_next
@@ -1104,6 +1105,10 @@ impl<'a> Session<'a> {
                         job: act.job.0,
                         origin: self.instance.job(act.job).origin.0,
                         target: obs_unit(self.instance.job(act.job).origin, act.target, act.phase),
+                        cloud: match act.target {
+                            Target::Cloud(k) => Some(k.0),
+                            Target::Edge => None,
+                        },
                         phase: obs_phase(act.phase),
                         interval: Interval::new(self.now, t_adv),
                         volume: if act.phase == Phase::Compute {
@@ -1213,36 +1218,7 @@ impl<'a> Session<'a> {
                             unit: Unit::Edge(j.0),
                         }
                     );
-                    // Work in flight on the crashed unit is lost: every
-                    // job of this origin committed to its edge CPU is
-                    // wiped and re-released (paper restart semantics).
-                    // Cloud-committed jobs of this origin merely pause —
-                    // their ports are blocked while the edge is down.
-                    for i in 0..self.jobs.len() {
-                        if self.jobs.finished[i]
-                            || self.instance.job(JobId(i)).origin != j
-                            || self.jobs.committed[i] != Some(Target::Edge)
-                        {
-                            continue;
-                        }
-                        let had_progress =
-                            self.jobs.up_done[i] + self.jobs.work_done[i] + self.jobs.dn_done[i]
-                                > 0.0;
-                        self.jobs.committed[i] = None;
-                        self.jobs.running[i] = None;
-                        if had_progress {
-                            self.jobs.reset_progress(i);
-                            self.stats.restarts += 1;
-                            self.trace.abandon(JobId(i));
-                            if let Some(o) = self.observer.as_deref_mut() {
-                                o.on_event(&ObsEvent::JobKilled {
-                                    t: self.now,
-                                    job: i,
-                                    unit: Unit::Edge(j.0),
-                                });
-                            }
-                        }
-                    }
+                    self.kill_work_on(Unit::Edge(j.0));
                 }
                 EngineEvent::EdgeUp(j) => {
                     self.platform.fault_edge_up(j);
@@ -1263,29 +1239,7 @@ impl<'a> Session<'a> {
                             unit: Unit::Cloud(k.0),
                         }
                     );
-                    for i in 0..self.jobs.len() {
-                        if self.jobs.finished[i] || self.jobs.committed[i] != Some(Target::Cloud(k))
-                        {
-                            continue;
-                        }
-                        let had_progress =
-                            self.jobs.up_done[i] + self.jobs.work_done[i] + self.jobs.dn_done[i]
-                                > 0.0;
-                        self.jobs.committed[i] = None;
-                        self.jobs.running[i] = None;
-                        if had_progress {
-                            self.jobs.reset_progress(i);
-                            self.stats.restarts += 1;
-                            self.trace.abandon(JobId(i));
-                            if let Some(o) = self.observer.as_deref_mut() {
-                                o.on_event(&ObsEvent::JobKilled {
-                                    t: self.now,
-                                    job: i,
-                                    unit: Unit::Cloud(k.0),
-                                });
-                            }
-                        }
-                    }
+                    self.kill_work_on(Unit::Cloud(k.0));
                 }
                 EngineEvent::CloudUp(k) => {
                     self.platform.fault_cloud_up(k);
@@ -1330,5 +1284,14 @@ impl<'a> Session<'a> {
                 self.epoch += 1;
             }
         }
+    }
+}
+
+/// The livelock budget of the submitted workload: the automatic event
+/// cap, widened by the fault plan's windows when one is attached.
+fn workload_budget(instance: &Instance, faults: Option<&FaultPlan>) -> u64 {
+    match faults {
+        Some(plan) => events::auto_event_limit_with_faults(instance, plan),
+        None => events::auto_event_limit(instance),
     }
 }

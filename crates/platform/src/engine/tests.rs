@@ -1,5 +1,5 @@
 use super::*;
-use crate::activity::{Phase, Target};
+use crate::activity::Target;
 use crate::instance::figure1_instance;
 use crate::job::{Job, JobId};
 use crate::spec::{CloudId, EdgeId, PlatformSpec};
@@ -383,38 +383,6 @@ fn figure1_runs_under_fifo_policies() {
 }
 
 #[test]
-fn event_log_records_decisions() {
-    let inst = single_job_instance(3.0, 1.0, 2.0);
-    let out = Simulation::of(&inst)
-        .policy(&mut AllCloudFifo)
-        .options(EngineOptions {
-            record_events: true,
-            ..EngineOptions::default()
-        })
-        .run()
-        .unwrap();
-    let log = out.event_log.expect("log recorded");
-    assert!(!log.is_empty());
-    // First decision at t = 0 activates the uplink.
-    assert_eq!(log[0].time, Time::ZERO);
-    assert_eq!(log[0].pending, 1);
-    assert_eq!(
-        log[0].activations,
-        vec![(JobId(0), Phase::Uplink, Target::Cloud(CloudId(0)))]
-    );
-    // Times are non-decreasing; phases progress up → exec → down.
-    for w in log.windows(2) {
-        assert!(w[0].time <= w[1].time);
-    }
-    // Without the option, no log is produced.
-    let out = Simulation::of(&inst)
-        .policy(&mut AllCloudFifo)
-        .run()
-        .unwrap();
-    assert!(out.event_log.is_none());
-}
-
-#[test]
 fn observed_run_emits_a_well_formed_event_stream() {
     struct Capture(Vec<String>, usize, usize);
     impl Observer for Capture {
@@ -461,20 +429,6 @@ fn observed_run_emits_a_well_formed_event_stream() {
 }
 
 #[test]
-fn event_limit_guards_against_livelock() {
-    let inst = single_job_instance(1e9, 0.0, 0.0);
-    let err = Simulation::of(&inst)
-        .policy(&mut AllEdgeFifo)
-        .options(EngineOptions {
-            max_events: Some(0),
-            ..EngineOptions::default()
-        })
-        .run()
-        .unwrap_err();
-    assert_eq!(err, EngineError::EventLimit { limit: 0 });
-}
-
-#[test]
 fn auto_event_limit_catches_livelocked_policy() {
     // A genuinely livelocked policy: it flips the single job between two
     // cloud processors at every decision. Each uplink completion triggers
@@ -515,8 +469,18 @@ fn auto_event_limit_catches_livelocked_policy() {
 
 #[test]
 fn pending_set_is_maintained_incrementally() {
-    // Two staggered jobs: the event log's pending counts must follow the
-    // release/completion lifecycle exactly.
+    // Two staggered jobs: the pending counts the decision points report
+    // must follow the release/completion lifecycle exactly.
+    struct Pending(Vec<usize>);
+    impl Observer for Pending {
+        fn on_event(&mut self, event: &ObsEvent) {
+            if let ObsEvent::DecideStart { pending, .. } | ObsEvent::DecideSkipped { pending, .. } =
+                event
+            {
+                self.0.push(*pending);
+            }
+        }
+    }
     let spec = PlatformSpec::builder()
         .edges(vec![1.0])
         .cloud_pool(1)
@@ -526,18 +490,14 @@ fn pending_set_is_maintained_incrementally() {
         Job::new(EdgeId(0), 1.0, 2.0, 0.0, 0.0),
     ];
     let inst = Instance::new(spec, jobs).unwrap();
-    let out = Simulation::of(&inst)
+    let mut counts = Pending(Vec::new());
+    Simulation::of(&inst)
         .policy(&mut AllEdgeFifo)
-        .options(EngineOptions {
-            record_events: true,
-            ..EngineOptions::default()
-        })
+        .observer(&mut counts)
         .run()
         .unwrap();
-    let log = out.event_log.expect("log recorded");
-    let counts: Vec<_> = log.iter().map(|r| r.pending).collect();
     // t=0: job 0 pending; t=1: both pending; t=2: job 0 done, job 1 left.
-    assert_eq!(counts, vec![1, 2, 1]);
+    assert_eq!(counts.0, vec![1, 2, 1]);
 }
 
 // ---------------------------------------------------------------------------
@@ -780,6 +740,28 @@ mod session {
         }
         session.drain().unwrap();
         assert_eq!(session.into_outcome().schedule, batch.schedule);
+    }
+
+    #[test]
+    fn pauses_keep_their_event_budget_across_submits() {
+        // Each capped pause and each platform mutation earns one event of
+        // livelock budget; a later submit must keep those earnings. A
+        // served lane pauses at every heartbeat, so without them a long
+        // job exhausts `1000 + 64·n` and aborts a healthy run.
+        let inst = single_job_instance(500.0, 0.0, 0.0); // edge speed 0.5: 1000 s.
+        let mut policy = AllEdgeFifo;
+        let mut session = Simulation::of(&inst).policy(&mut policy).session();
+        for k in 1..=2000 {
+            assert_eq!(
+                session.run_until(Time::new(k as f64 * 0.1)).unwrap(),
+                SessionStatus::Reached
+            );
+        }
+        session
+            .submit(Job::new(EdgeId(0), 200.0, 1.0, 0.0, 0.0))
+            .unwrap();
+        session.drain().unwrap();
+        assert_eq!(session.take_completions().len(), 2);
     }
 
     #[test]

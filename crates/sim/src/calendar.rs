@@ -2,8 +2,8 @@
 //!
 //! A drop-in replacement for [`EventQueue`](crate::EventQueue) keyed by the
 //! same `(time, rank, sequence)` total order, so the pop stream is
-//! **bit-identical** to the binary heap's — the engine can swap one for the
-//! other without perturbing a single scheduling decision. The win is the
+//! **bit-identical** to the binary heap's (the `calendar_queue_matches_heap`
+//! proptest pins this); the engine runs on this queue alone. The win is the
 //! access pattern: simulation event times advance almost monotonically, so
 //! a calendar queue turns the heap's `O(log n)` pointer-chasing sift into
 //! an `O(1)` amortized append/pop on a short, contiguous, mostly-sorted
@@ -327,23 +327,6 @@ impl<E: Eq> CalendarQueue<E> {
         self.popped_until = entry.time;
         Some((entry.time, entry.rank, entry.payload))
     }
-
-    /// Removes every event scheduled at (approximately) the same instant as
-    /// the head, in deterministic order.
-    pub fn pop_simultaneous(&mut self) -> Vec<(Time, E)> {
-        let Some(head) = self.peek_time() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        while let Some(t) = self.peek_time() {
-            if t.approx_eq(head) {
-                out.push(self.pop().expect("peeked"));
-            } else {
-                break;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -404,21 +387,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((Time::new(5.0), 42)));
         assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn pop_simultaneous_groups_same_instant() {
-        let mut q = CalendarQueue::new();
-        q.push(Time::new(1.0), 0, 1u32);
-        q.push(Time::new(1.0), 1, 2);
-        q.push(Time::new(2.0), 0, 3);
-        let batch = q.pop_simultaneous();
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].1, 1);
-        assert_eq!(batch[1].1, 2);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_simultaneous().len(), 1);
-        assert!(q.pop_simultaneous().is_empty());
     }
 
     #[test]

@@ -116,23 +116,6 @@ impl<E: Eq> EventQueue<E> {
         self.popped_until = e.time;
         Some((e.time, e.rank, e.payload))
     }
-
-    /// Removes every event scheduled at (approximately) the same instant as
-    /// the head, in deterministic order.
-    pub fn pop_simultaneous(&mut self) -> Vec<(Time, E)> {
-        let Some(head) = self.peek_time() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        while let Some(t) = self.peek_time() {
-            if t.approx_eq(head) {
-                out.push(self.pop().expect("peeked"));
-            } else {
-                break;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -193,21 +176,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((Time::new(5.0), 42)));
         assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn pop_simultaneous_groups_same_instant() {
-        let mut q = EventQueue::new();
-        q.push(Time::new(1.0), 0, 1u32);
-        q.push(Time::new(1.0), 1, 2);
-        q.push(Time::new(2.0), 0, 3);
-        let batch = q.pop_simultaneous();
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].1, 1);
-        assert_eq!(batch[1].1, 2);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_simultaneous().len(), 1);
-        assert!(q.pop_simultaneous().is_empty());
     }
 
     #[test]

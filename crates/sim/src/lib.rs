@@ -9,7 +9,7 @@
 //! * [`event_queue::EventQueue`] — deterministic future-event list for the
 //!   event-based algorithms of paper §V (binary-heap reference);
 //! * [`calendar::CalendarQueue`] — the calendar/bucket variant with a
-//!   bit-identical pop order, used by the engine hot path;
+//!   bit-identical pop order, the engine's event queue;
 //! * [`seed`] — deterministic seed derivation for reproducible experiments.
 
 #![warn(missing_docs)]

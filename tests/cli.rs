@@ -481,3 +481,87 @@ fn trace_export_import_round_trips_through_the_binary() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `run -v` prints one line per decision point: its time, the pending
+/// count, and the activities granted until the next event. The blocks
+/// below pin that output on a windowed, faulted run: a cloud window on
+/// `cloud:0` over [8, 12), fault kills and restarts, and every phase on
+/// both unit kinds.
+#[test]
+fn verbose_event_trace_is_pinned() {
+    const SRPT: &str = "\
+event trace (19 decisions):
+  t=0.9582     pending=1   [J1:exec@edge]
+  t=1.6197     pending=2   [J1:exec@edge J2:up@cloud:0]
+  t=2.0032     pending=3   [J1:exec@edge J3:up@cloud:1 J2:up@cloud:0]
+  t=4.6549     pending=3   [J1:exec@edge J3:up@cloud:1 J2:up@cloud:0]
+  t=5.6747     pending=3   [J1:exec@edge J3:exec@cloud:1 J2:up@cloud:0]
+  t=7.9489     pending=3   [J1:exec@edge J3:exec@cloud:1 J2:up@cloud:0]
+  t=8.0000     pending=3   [J1:exec@edge J3:exec@cloud:1 J2:up@cloud:0]
+  t=8.1926     pending=4   [J1:exec@edge J3:exec@cloud:1 J4:exec@edge J2:up@cloud:0]
+  t=9.7905     pending=4   [J1:exec@edge J3:down@cloud:1 J4:exec@edge J2:up@cloud:0]
+  t=10.0128    pending=3   [J3:down@cloud:1 J4:exec@edge J2:up@cloud:0]
+  t=10.7159    pending=3   [J3:down@cloud:1 J4:exec@edge]
+  t=11.3430    pending=3   [J3:down@cloud:1 J4:exec@edge]
+  t=12.0000    pending=3   [J3:down@cloud:1 J4:exec@edge J2:exec@cloud:0]
+  t=14.7391    pending=3   [J3:down@cloud:1 J4:exec@edge J2:exec@cloud:0]
+  t=16.8304    pending=3   [J3:down@cloud:1 J4:exec@edge J2:down@cloud:0]
+  t=18.2148    pending=2   [J4:exec@edge J2:down@cloud:0]
+  t=20.2700    pending=2   [J4:exec@edge J2:down@cloud:0]
+  t=22.6925    pending=1   [J2:down@cloud:0]
+  t=23.1496    pending=1   [J2:down@cloud:0]
+";
+    const SSF_EDF: &str = "\
+event trace (19 decisions):
+  t=0.9582     pending=1   [J1:exec@edge]
+  t=1.6197     pending=2   [J1:exec@edge J2:up@cloud:0]
+  t=2.0032     pending=3   [J3:exec@edge J1:up@cloud:0 J2:up@cloud:1]
+  t=4.6549     pending=3   [J3:exec@edge J1:up@cloud:0 J2:up@cloud:1]
+  t=6.6719     pending=3   [J3:exec@edge J1:exec@cloud:0 J2:up@cloud:1]
+  t=7.9489     pending=3   [J3:exec@edge J1:exec@cloud:0 J2:up@cloud:1]
+  t=8.0000     pending=3   [J3:exec@edge J2:up@cloud:1]
+  t=8.1926     pending=4   [J3:exec@edge J4:exec@edge J2:up@cloud:1]
+  t=10.2347    pending=3   [J4:exec@edge J2:up@cloud:1]
+  t=11.0994    pending=3   [J4:exec@edge J2:exec@cloud:1]
+  t=11.3430    pending=3   [J4:exec@edge J2:exec@cloud:1]
+  t=12.0000    pending=3   [J1:exec@cloud:0 J4:exec@edge J2:exec@cloud:1]
+  t=14.7391    pending=3   [J1:exec@cloud:0 J4:exec@edge J2:exec@cloud:1]
+  t=15.1992    pending=3   [J1:down@cloud:0 J4:exec@edge J2:exec@cloud:1]
+  t=15.9298    pending=3   [J1:down@cloud:0 J4:exec@edge J2:down@cloud:1]
+  t=18.9494    pending=2   [J4:exec@edge J2:down@cloud:1]
+  t=20.2700    pending=2   [J4:exec@edge J2:down@cloud:1]
+  t=22.6925    pending=1   [J2:down@cloud:1]
+  t=23.1496    pending=1   [J2:down@cloud:1]
+";
+    let dir = std::env::temp_dir().join(format!("mmsec-cli-verbose-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let inst = dir.join("inst.txt");
+    let out = mmsec()
+        .args(["gen", "random", "--n", "4", "--seed", "8"])
+        .output()
+        .expect("gen runs");
+    assert!(out.status.success());
+    let mut text = String::from_utf8(out.stdout).unwrap();
+    text.push_str("window 0 8 12\n");
+    std::fs::write(&inst, text).unwrap();
+
+    for (policy, expected) in [("srpt", SRPT), ("ssf-edf", SSF_EDF)] {
+        let out = mmsec()
+            .args(["run", "--instance", inst.to_str().unwrap(), "-v"])
+            .args(["--policy", policy])
+            .args(["--fault-mtbf", "100", "--fault-mttr", "5"])
+            .args(["--fault-seed", "3"])
+            .output()
+            .expect("verbose run runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let trace = &stdout[stdout.find("event trace").expect("trace block")..];
+        assert_eq!(trace, expected, "{policy}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}

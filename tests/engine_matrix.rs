@@ -28,7 +28,6 @@ fn option_matrix() -> Vec<EngineOptions> {
                     infinite_ports,
                     allow_preemption,
                     allow_reexecution,
-                    ..EngineOptions::default()
                 });
             }
         }
