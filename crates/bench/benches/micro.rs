@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mmsec_core::PolicyKind;
 use mmsec_platform::obs::{FlightRecorder, NullObserver, PhaseProfiler};
 use mmsec_platform::projection::Projection;
-use mmsec_platform::{Instance, JobArena, JobState, PendingSet, SimView, Simulation};
+use mmsec_platform::{Instance, Simulation, Target};
 use mmsec_sim::{EventQueue, Interval, IntervalSet, Time};
 use mmsec_workload::{KangConfig, RandomCcrConfig};
 
@@ -57,23 +57,27 @@ fn bench_projection(c: &mut Criterion) {
         ..RandomCcrConfig::default()
     };
     let inst = cfg.generate(5);
-    let states: Vec<JobState> = (0..inst.num_jobs())
-        .map(|_| JobState {
-            released: true,
-            ..JobState::default()
-        })
-        .collect();
-    let arena = JobArena::from_states(&inst, &states);
-    let pending = PendingSet::from_states(&inst, &states);
+    let spec = &inst.spec;
     c.bench_function("micro/projection_place_200_jobs", |b| {
         b.iter_batched(
-            || Projection::new(&inst.spec, Time::ZERO),
+            || Projection::new(spec, Time::ZERO),
             |mut proj| {
-                let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
-                for (id, job) in inst.iter_jobs() {
-                    let st = &view.state(id);
-                    let (t, _) = proj.best_target(job, st, view.spec(), view.now);
-                    proj.place(job, st, t, view.spec(), view.now);
+                for (_, job) in inst.iter_jobs() {
+                    // Every job starts fresh. Earliest forecast completion;
+                    // ties prefer the edge, then lower cloud ids.
+                    let fresh = (job.up, job.work, job.dn);
+                    let mut best = (
+                        Target::Edge,
+                        proj.completion(job, fresh, Target::Edge, spec, Time::ZERO),
+                    );
+                    for k in spec.clouds() {
+                        let t = Target::Cloud(k);
+                        let c = proj.completion(job, fresh, t, spec, Time::ZERO);
+                        if c < best.1 {
+                            best = (t, c);
+                        }
+                    }
+                    proj.place(job, fresh, best.0, spec, Time::ZERO);
                 }
                 proj
             },

@@ -68,31 +68,23 @@ impl OnlineScheduler for Fcfs {
                     proj_ready = true;
                 }
                 let proj = self.proj.as_mut().expect("initialized above");
-                let st = &view.state(id);
-                let (target, _) = proj.best_target(job, st, spec, view.now);
-                let target = if view.target_available(job.origin, target) {
-                    Some(target)
-                } else {
-                    // The projected best is down: best available fallback.
-                    let mut best: Option<(Target, mmsec_sim::Time)> = None;
-                    let mut consider = |t: Target| {
-                        if !view.target_available(job.origin, t) {
-                            return;
-                        }
-                        let c = proj.completion(job, st, t, spec, view.now);
-                        if best.map_or(true, |(_, bc)| c < bc) {
-                            best = Some((t, c));
-                        }
-                    };
-                    consider(Target::Edge);
-                    for k in spec.clouds() {
-                        consider(Target::Cloud(k));
+                // Earliest projected completion among the units still up;
+                // ties prefer the edge, then lower cloud ids.
+                let mut best: Option<(Target, mmsec_sim::Time)> = None;
+                let live = std::iter::once(Target::Edge)
+                    .chain(spec.clouds().map(Target::Cloud))
+                    .filter(|&t| view.target_available(job.origin, t));
+                for t in live {
+                    let c =
+                        proj.completion(job, view.jobs.volumes_on(id.0, job, t), t, spec, view.now);
+                    if best.map_or(true, |(_, bc)| c < bc) {
+                        best = Some((t, c));
                     }
-                    best.map(|(t, _)| t)
-                };
+                }
                 // Everything down: leave the job unplaced this round.
-                let Some(target) = target else { continue };
-                proj.place(job, st, target, spec, view.now);
+                let Some((target, _)) = best else { continue };
+                let vols = view.jobs.volumes_on(id.0, job, target);
+                proj.place(job, vols, target, spec, view.now);
                 self.chosen[id.0] = Some(target);
             }
             out.push(id, self.chosen[id.0].expect("placed above"));
@@ -164,20 +156,22 @@ impl OnlineScheduler for CloudOnly {
                 }
                 let proj = self.proj.as_mut().expect("initialized above");
                 let job = view.job(id);
-                let st = &view.state(id);
                 let mut best: Option<(Target, mmsec_sim::Time)> = None;
                 for k in spec.clouds() {
                     if !view.cloud_available(k) {
                         continue;
                     }
-                    let c = proj.completion(job, st, Target::Cloud(k), spec, view.now);
+                    let t = Target::Cloud(k);
+                    let c =
+                        proj.completion(job, view.jobs.volumes_on(id.0, job, t), t, spec, view.now);
                     if best.map_or(true, |(_, bc)| c < bc) {
-                        best = Some((Target::Cloud(k), c));
+                        best = Some((t, c));
                     }
                 }
                 // Every cloud down: leave the job unplaced this round.
                 let Some((target, _)) = best else { continue };
-                proj.place(job, st, target, spec, view.now);
+                let vols = view.jobs.volumes_on(id.0, job, target);
+                proj.place(job, vols, target, spec, view.now);
                 self.chosen[id.0] = Some(target);
             }
             out.push(id, self.chosen[id.0].expect("placed above"));

@@ -26,7 +26,7 @@ pub struct EdgeOnly {
     /// Cached deadline per job (None until first computed).
     deadlines: Vec<Option<Time>>,
     /// Pending jobs sorted by (deadline, id); kept alive across decide
-    /// calls and maintained from the view's pending delta.
+    /// calls and pruned of finished jobs between recomputes.
     order: Vec<(Time, JobId)>,
     /// Maintain `order` incrementally (default); `false` rebuilds it at
     /// every decide and demotes the policy to
@@ -159,19 +159,10 @@ impl OnlineScheduler for EdgeOnly {
             self.order.sort();
         } else {
             // Deadlines unchanged since the last call: the order only
-            // shrinks by the jobs that completed in between (new
-            // releases force the rebuild branch above). A `None` deadline
-            // here means a platform bump voided the cache after the job
-            // was planned — `order` was cleared with it, nothing to drop.
-            for &id in view.delta_removed() {
-                let Some(d) = self.deadlines[id.0] else {
-                    continue;
-                };
-                let key = (d, id);
-                if let Ok(pos) = self.order.binary_search(&key) {
-                    self.order.remove(pos);
-                }
-            }
+            // shrinks by the jobs that completed in between (new releases
+            // and platform bumps leave jobs without a deadline, forcing
+            // the rebuild branch above).
+            self.order.retain(|&(_, id)| !view.jobs.finished[id.0]);
         }
         for &(_, id) in &self.order {
             // Fault injection: don't (re)commit jobs whose origin edge is

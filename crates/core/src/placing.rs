@@ -15,39 +15,8 @@
 
 use mmsec_platform::projection::{Forecast, Projection};
 use mmsec_platform::resource::{ResourceId, ResourceMap};
-use mmsec_platform::{CloudId, Job, JobId, JobState, Phase, SimView, Target};
-use mmsec_sim::time::approx;
+use mmsec_platform::{CloudId, Job, JobId, Phase, SimView, Target};
 use mmsec_sim::Time;
-
-/// Phase the job would run first if placed on `target` *now*: the current
-/// phase when continuing on its committed target, the first non-empty
-/// phase when (re)starting fresh.
-pub fn first_phase(view: &SimView<'_>, id: JobId, target: Target) -> Option<Phase> {
-    let jobs = view.jobs;
-    let job = view.job(id);
-    if jobs.committed[id.0] == Some(target) {
-        return jobs.current_phase(id.0, job, target);
-    }
-    match target {
-        Target::Edge => approx::positive(job.work).then_some(Phase::Compute),
-        Target::Cloud(_) => cloud_phase(job.up, job.work, job.dn),
-    }
-}
-
-/// First non-empty phase of a cloud run with volumes `(up, work, dn)`
-/// left: from-scratch volumes for a fresh start, remaining ones for a
-/// continuation.
-fn cloud_phase(up: f64, work: f64, dn: f64) -> Option<Phase> {
-    if approx::positive(up) {
-        Some(Phase::Uplink)
-    } else if approx::positive(work) {
-        Some(Phase::Compute)
-    } else if approx::positive(dn) {
-        Some(Phase::Downlink)
-    } else {
-        None
-    }
-}
 
 /// The re-execution guard's bar (see [`RoundState::best_startable`]):
 /// when `id` has progress on its committed target, the optimistic
@@ -97,7 +66,7 @@ pub struct StartOption {
     /// `target` differs from the committed resource).
     pub completion: Time,
     /// First phase the job would run on `target` — cached so
-    /// [`RoundState::claim_option`] skips the `first_phase` recompute.
+    /// [`RoundState::claim_option`] skips the phase recompute.
     pub(crate) phase: Phase,
     /// The winning candidate's full forecast — cached so claiming applies
     /// the already-computed reservations instead of forecasting again.
@@ -331,10 +300,6 @@ impl RoundState {
         let committed = view.jobs.committed[id.0];
         let bar = continuation_bar(view, id);
 
-        // Snapshot for dirty candidates (full projection walk); built at
-        // most once, and not at all on the common all-clean call.
-        let mut st_slot: Option<JobState> = None;
-
         let mut best: Option<StartOption> = None;
         let mut best_penalized = Time::new(f64::MAX);
 
@@ -344,7 +309,7 @@ impl RoundState {
         // re-evaluation ties and loses on strict `<`, so it is skipped.
         let edge = (committed != Some(Target::Edge)).then_some(Target::Edge);
         for t in committed.into_iter().chain(edge) {
-            if let Some((p, opt)) = self.score(view, id, t, bar, &mut st_slot) {
+            if let Some((p, opt)) = self.score(view, id, t, bar) {
                 if p < best_penalized {
                     best_penalized = p;
                     best = Some(opt);
@@ -366,7 +331,10 @@ impl RoundState {
         let ports_clean_up = !self.dirty_edge_out[e] || job.up <= 0.0;
         let ports_clean_dn = !self.dirty_edge_in[e] || job.dn <= 0.0;
         let mut cloud_best: Option<(Time, CloudId, StartOption)> = None;
-        if let Some(cphase) = cloud_phase(job.up, job.work, job.dn) {
+        // The scan skips the committed cloud, so every candidate starts
+        // fresh; the first phase depends only on the target kind.
+        let fresh = (job.up, job.work, job.dn);
+        if let Some(cphase) = Phase::first(Target::Cloud(CloudId(0)), fresh) {
             for class in &self.speed_classes {
                 let mut class_fc: Option<Forecast> = None;
                 for &k in class {
@@ -409,8 +377,7 @@ impl RoundState {
                             ))
                         }
                     } else {
-                        let st = st_slot.get_or_insert_with(|| view.state(id));
-                        self.evaluate(view, id, st, job, Target::Cloud(k), bar)
+                        self.evaluate(view, id, job, Target::Cloud(k), bar)
                     };
                     if let Some((p, opt)) = cand {
                         let better = match &cloud_best {
@@ -546,7 +513,6 @@ impl RoundState {
         };
         let bar = continuation_bar(view, id);
         let spec = view.spec();
-        let mut st_slot: Option<JobState> = None;
         let mut best = *cached;
         let mut best_key = (
             cached.completion + Time::new(self.foreign_backlog(view, id, cached.target)),
@@ -575,7 +541,7 @@ impl RoundState {
                     continue;
                 }
             }
-            if let Some((p, opt)) = self.score(view, id, t, bar, &mut st_slot) {
+            if let Some((p, opt)) = self.score(view, id, t, bar) {
                 let key = (p, rank(t));
                 if key < best_key {
                     best_key = key;
@@ -589,30 +555,17 @@ impl RoundState {
     /// Scores one candidate exactly as [`Self::evaluate`] does, taking the
     /// closed form [`Forecast::pristine`] when no profile the forecast
     /// would read moved this round (then every resource it reads is free
-    /// at `now` and none is busy). `st` caches the job snapshot the
-    /// projection walk needs, built on first use.
+    /// at `now` and none is busy).
     fn score(
         &self,
         view: &SimView<'_>,
         id: JobId,
         target: Target,
         bar: Option<Time>,
-        st: &mut Option<JobState>,
     ) -> Option<(Time, StartOption)> {
-        let jobs = view.jobs;
-        let i = id.0;
         let job = view.job(id);
         let e = job.origin.0;
-        let continuing = jobs.committed[i] == Some(target);
-        let (up, work, dn) = if continuing {
-            (
-                jobs.remaining_up(i, job),
-                jobs.remaining_work(i, job),
-                jobs.remaining_dn(i, job),
-            )
-        } else {
-            (job.up, job.work, job.dn)
-        };
+        let (up, work, dn) = view.jobs.volumes_on(id.0, job, target);
         // The forecast reads `EdgeOut`/`EdgeIn` only when the matching
         // volume is > 0 — the clean test mirrors that predicate exactly.
         let clean = match target {
@@ -624,30 +577,24 @@ impl RoundState {
             }
         };
         if !clean {
-            let st = st.get_or_insert_with(|| view.state(id));
-            return self.evaluate(view, id, st, job, target, bar);
+            return self.evaluate(view, id, job, target, bar);
         }
         if !view.target_available(job.origin, target) {
             return None;
         }
+        let phase = Phase::first(target, (up, work, dn))?;
         let spec = view.spec();
-        let (phase, speed, up, dn) = match target {
-            Target::Edge => (
-                approx::positive(work).then_some(Phase::Compute),
-                spec.edge_speed(job.origin),
-                0.0,
-                0.0,
-            ),
+        let (speed, up, dn) = match target {
+            Target::Edge => (spec.edge_speed(job.origin), 0.0, 0.0),
             Target::Cloud(k) => (
-                cloud_phase(up, work, dn),
                 spec.cloud_speed(k),
                 up * spec.path_up(k),
                 dn * spec.path_dn(k),
             ),
         };
-        let phase = phase?;
         let f = Forecast::pristine(target, up, work, dn, speed, view.now);
         let penalized = f.completion + Time::new(self.foreign_backlog(view, id, target));
+        let continuing = view.jobs.committed[id.0] == Some(target);
         if !continuing && matches!(bar, Some(b) if penalized >= b) {
             return None; // restarting cannot beat waiting
         }
@@ -671,7 +618,6 @@ impl RoundState {
         &self,
         view: &SimView<'_>,
         id: JobId,
-        st: &JobState,
         job: &Job,
         target: Target,
         continuation_bar: Option<Time>,
@@ -679,7 +625,8 @@ impl RoundState {
         if !view.target_available(job.origin, target) {
             return None; // unit is down (fault injection): never place on it
         }
-        let phase = first_phase(view, id, target)?;
+        let vols = view.jobs.volumes_on(id.0, job, target);
+        let phase = Phase::first(target, vols)?;
         if phase
             .resources(job, target)
             .iter()
@@ -687,10 +634,9 @@ impl RoundState {
         {
             return None;
         }
-        let spec = view.spec();
-        let f = self.proj.forecast(job, st, target, spec, view.now);
+        let f = self.proj.forecast(job, vols, target, view.spec(), view.now);
         let penalized = f.completion + Time::new(self.foreign_backlog(view, id, target));
-        if st.committed != Some(target) {
+        if view.jobs.committed[id.0] != Some(target) {
             if let Some(bar) = continuation_bar {
                 if penalized >= bar {
                     return None; // restarting cannot beat waiting
@@ -714,7 +660,6 @@ impl RoundState {
     /// `fast_path_matches_exhaustive_scan` proptest below).
     #[cfg(test)]
     fn best_startable_exhaustive(&self, view: &SimView<'_>, id: JobId) -> Option<StartOption> {
-        let st = &view.state(id);
         let job = view.job(id);
         let spec = view.spec();
         let bar = continuation_bar(view, id);
@@ -722,14 +667,14 @@ impl RoundState {
         let mut best: Option<StartOption> = None;
         let mut best_penalized = Time::new(f64::MAX);
         let mut consider = |target: Target| {
-            if let Some((p, opt)) = self.evaluate(view, id, st, job, target, bar) {
+            if let Some((p, opt)) = self.evaluate(view, id, job, target, bar) {
                 if p < best_penalized {
                     best_penalized = p;
                     best = Some(opt);
                 }
             }
         };
-        if let Some(t) = st.committed {
+        if let Some(t) = view.jobs.committed[id.0] {
             consider(t);
         }
         consider(Target::Edge);
@@ -744,10 +689,10 @@ impl RoundState {
     /// projection, and retires its backlog contribution (its future is
     /// now explicit in the projection).
     pub fn claim(&mut self, view: &SimView<'_>, id: JobId, target: Target) {
-        let st = view.state(id);
         let job = view.job(id);
-        let phase = first_phase(view, id, target).expect("claimed job has a phase to run");
-        let f = self.proj.forecast(job, &st, target, view.spec(), view.now);
+        let vols = view.jobs.volumes_on(id.0, job, target);
+        let phase = Phase::first(target, vols).expect("claimed job has a phase to run");
+        let f = self.proj.forecast(job, vols, target, view.spec(), view.now);
         self.apply_claim(view, id, phase, &f, target);
     }
 
@@ -818,7 +763,7 @@ impl RoundState {
 mod tests {
     use super::*;
     use mmsec_platform::{
-        CloudId, EdgeId, Instance, Job, JobArena, JobState, PendingSet, PlatformSpec,
+        CloudId, EdgeId, Instance, Job, JobArena, JobState, PendingSet, PlatformSpec, PlatformState,
     };
 
     fn fixture() -> (Instance, Vec<JobState>) {
@@ -844,21 +789,12 @@ mod tests {
         states[0].committed = Some(Target::Cloud(CloudId(0)));
         states[0].up_done = 1.0; // uplink complete on cloud 0
         let arena = JobArena::from_states(&inst, &states);
-        let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::new(1.0), &arena, &pending);
-        assert_eq!(
-            first_phase(&view, JobId(0), Target::Cloud(CloudId(0))),
-            Some(Phase::Compute)
-        );
+        let first_phase =
+            |target| Phase::first(target, arena.volumes_on(0, inst.job(JobId(0)), target));
+        assert_eq!(first_phase(Target::Cloud(CloudId(0))), Some(Phase::Compute));
         // Fresh start on cloud 1: uplink again.
-        assert_eq!(
-            first_phase(&view, JobId(0), Target::Cloud(CloudId(1))),
-            Some(Phase::Uplink)
-        );
-        assert_eq!(
-            first_phase(&view, JobId(0), Target::Edge),
-            Some(Phase::Compute)
-        );
+        assert_eq!(first_phase(Target::Cloud(CloudId(1))), Some(Phase::Uplink));
+        assert_eq!(first_phase(Target::Edge), Some(Phase::Compute));
     }
 
     #[test]
@@ -866,7 +802,8 @@ mod tests {
         let (inst, states) = fixture();
         let arena = JobArena::from_states(&inst, &states);
         let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
+        let platform = PlatformState::new(inst.spec.clone());
+        let view = SimView::new(&inst, Time::ZERO, &arena, &pending, &platform);
         let round = RoundState::new(&view);
         // Job 1 (6 work): edge 12, cloud 8 → cloud.
         let opt = round.best_startable(&view, JobId(1)).unwrap();
@@ -897,7 +834,8 @@ mod tests {
         }
         let arena = JobArena::from_states(&inst, &states);
         let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
+        let platform = PlatformState::new(inst.spec.clone());
+        let view = SimView::new(&inst, Time::ZERO, &arena, &pending, &platform);
         let mut round = RoundState::new(&view);
         let first = round.best_startable(&view, JobId(0)).unwrap();
         assert_eq!(first.target, Target::Cloud(CloudId(0)));
@@ -916,7 +854,8 @@ mod tests {
         let (inst, states) = fixture();
         let arena = JobArena::from_states(&inst, &states);
         let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
+        let platform = PlatformState::new(inst.spec.clone());
+        let view = SimView::new(&inst, Time::ZERO, &arena, &pending, &platform);
         let mut round = RoundState::new(&view);
         // Claim job 0's uplink on cloud 0: EdgeOut(0) + CloudIn(0) are
         // busy now, so job 1 (which also needs EdgeOut(0) to reach any
@@ -936,7 +875,8 @@ mod tests {
         let inst2 = Instance::new(inst.spec.clone(), jobs2).unwrap();
         let arena2 = JobArena::from_states(&inst2, &st2);
         let pending2 = PendingSet::from_states(&inst2, &st2);
-        let view2 = SimView::new(&inst2, Time::ZERO, &arena2, &pending2);
+        let platform2 = PlatformState::new(inst2.spec.clone());
+        let view2 = SimView::new(&inst2, Time::ZERO, &arena2, &pending2, &platform2);
         assert_eq!(round.best_startable(&view2, JobId(2)), None);
     }
 
@@ -947,7 +887,8 @@ mod tests {
         states[0].up_done = 1.0;
         let arena = JobArena::from_states(&inst, &states);
         let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::new(1.0), &arena, &pending);
+        let platform = PlatformState::new(inst.spec.clone());
+        let view = SimView::new(&inst, Time::new(1.0), &arena, &pending, &platform);
         let mut round = RoundState::new(&view);
         round.claim(&view, JobId(0), Target::Cloud(CloudId(0)));
         // Later instant, more progress: the reused round must behave
@@ -955,7 +896,8 @@ mod tests {
         states[0].work_done = 1.0;
         let arena = JobArena::from_states(&inst, &states);
         let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::new(2.0), &arena, &pending);
+        let platform = PlatformState::new(inst.spec.clone());
+        let view = SimView::new(&inst, Time::new(2.0), &arena, &pending, &platform);
         round.reset(&view);
         let fresh = RoundState::new(&view);
         for id in [JobId(0), JobId(1)] {
@@ -972,7 +914,8 @@ mod tests {
         states[0].committed = Some(Target::Cloud(CloudId(1)));
         let arena = JobArena::from_states(&inst, &states);
         let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
+        let platform = PlatformState::new(inst.spec.clone());
+        let view = SimView::new(&inst, Time::ZERO, &arena, &pending, &platform);
         let round = RoundState::new(&view);
         let opt = round.best_startable(&view, JobId(0)).unwrap();
         assert_eq!(opt.target, Target::Cloud(CloudId(1)));
@@ -986,7 +929,8 @@ mod tests {
         states[0].work_done = 1.0;
         let arena = JobArena::from_states(&inst, &states);
         let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::new(2.0), &arena, &pending);
+        let platform = PlatformState::new(inst.spec.clone());
+        let view = SimView::new(&inst, Time::new(2.0), &arena, &pending, &platform);
         let round = RoundState::new(&view);
         let opt = round.best_startable(&view, JobId(0)).unwrap();
         // Continue on cloud 0: 1 work + 1 dn = 2 → completes at 4;
@@ -997,29 +941,29 @@ mod tests {
 
     #[test]
     fn down_units_are_never_placement_targets() {
-        use mmsec_platform::Availability;
         let (inst, states) = fixture();
         let arena = JobArena::from_states(&inst, &states);
         let pending = PendingSet::from_states(&inst, &states);
-        let mut avail = Availability::all_up(1, 2);
+        let mut platform = PlatformState::new(inst.spec.clone());
+        platform.mark_dynamic();
         // Job 1 prefers cloud 0 (see `best_startable_picks_earliest_
         // completion`); with cloud 0 down it must fall over to cloud 1,
         // and with the whole cloud down it must run locally.
-        avail.cloud_up[0] = false;
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending).with_availability(&avail);
+        platform.fault_cloud_down(CloudId(0));
+        let view = SimView::new(&inst, Time::ZERO, &arena, &pending, &platform);
         let round = RoundState::new(&view);
         let opt = round.best_startable(&view, JobId(1)).unwrap();
         assert_eq!(opt.target, Target::Cloud(CloudId(1)));
 
-        avail.cloud_up[1] = false;
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending).with_availability(&avail);
+        platform.fault_cloud_down(CloudId(1));
+        let view = SimView::new(&inst, Time::ZERO, &arena, &pending, &platform);
         let round = RoundState::new(&view);
         let opt = round.best_startable(&view, JobId(1)).unwrap();
         assert_eq!(opt.target, Target::Edge);
 
         // Everything down: nothing startable at all.
-        avail.edge_up[0] = false;
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending).with_availability(&avail);
+        platform.fault_edge_down(EdgeId(0));
+        let view = SimView::new(&inst, Time::ZERO, &arena, &pending, &platform);
         let round = RoundState::new(&view);
         assert_eq!(round.best_startable(&view, JobId(1)), None);
     }
@@ -1027,8 +971,8 @@ mod tests {
     mod fast_path {
         use super::super::*;
         use mmsec_platform::{
-            Availability, CloudId, EdgeId, Instance, Job, JobArena, JobState, PendingSet,
-            PlatformSpec,
+            CloudId, EdgeId, Instance, Job, JobArena, JobState, PendingSet, PlatformSpec,
+            PlatformState,
         };
         use proptest::prelude::*;
 
@@ -1100,16 +1044,17 @@ mod tests {
                         _ => {}
                     }
                 }
-                let mut avail = Availability::all_up(2, num_cloud);
-                for (up, d) in avail.cloud_up.iter_mut().zip(down.iter()) {
-                    *up = !d;
+                let mut platform = PlatformState::new(inst.spec.clone());
+                platform.mark_dynamic();
+                for (k, _) in down.iter().take(num_cloud).enumerate().filter(|(_, &d)| d) {
+                    platform.fault_cloud_down(CloudId(k));
                 }
-                avail.edge_up[0] = !down[8];
-                avail.edge_up[1] = !down[9];
+                for (j, _) in down[8..].iter().enumerate().filter(|(_, &d)| d) {
+                    platform.fault_edge_down(EdgeId(j));
+                }
                 let arena = JobArena::from_states(&inst, &states);
                 let pending = PendingSet::from_states(&inst, &states);
-                let view = SimView::new(&inst, Time::new(now), &arena, &pending)
-                    .with_availability(&avail);
+                let view = SimView::new(&inst, Time::new(now), &arena, &pending, &platform);
                 let mut round = RoundState::new(&view);
                 // Kept in lockstep with `round`, but claimed through the
                 // cached-option path — `claim_option` must leave the

@@ -35,7 +35,7 @@ pub struct SsfEdf {
     /// Plan: chosen target per job.
     targets: Vec<Option<Target>>,
     /// Pending jobs sorted by (deadline, id); kept alive across decide
-    /// calls and maintained from the view's pending delta.
+    /// calls and pruned of finished jobs between replans.
     order: Vec<(Time, JobId)>,
     /// Maintain `order` incrementally (default). `false` rebuilds and
     /// re-sorts it at every decide and demotes the policy to
@@ -118,9 +118,9 @@ impl SsfEdf {
         let mut plan = Vec::with_capacity(jobs.len());
         for (d, id) in jobs {
             let job = view.job(id);
-            let st = &view.state(id);
             let target = choose_target(&proj, view, id, spec);
-            let completion = proj.place(job, st, target, spec, view.now);
+            let vols = view.jobs.volumes_on(id.0, job, target);
+            let completion = proj.place(job, vols, target, spec, view.now);
             if !completion.approx_le(d) {
                 feasible = false;
             }
@@ -212,45 +212,43 @@ fn choose_target(
     id: JobId,
     spec: &mmsec_platform::PlatformSpec,
 ) -> Target {
-    let st = &view.state(id);
+    let (jobs, i) = (view.jobs, id.0);
     let job = view.job(id);
+    let committed = jobs.committed[i];
     // Time already invested in the committed attempt (what a switch wastes).
-    let sunk = match st.committed {
-        Some(Target::Edge) => st.work_done / spec.edge_speed(job.origin),
-        Some(Target::Cloud(k)) => st.up_done + st.work_done / spec.cloud_speed(k) + st.dn_done,
+    let sunk = match committed {
+        Some(Target::Edge) => jobs.work_done[i] / spec.edge_speed(job.origin),
+        Some(Target::Cloud(k)) => {
+            jobs.up_done[i] + jobs.work_done[i] / spec.cloud_speed(k) + jobs.dn_done[i]
+        }
         None => 0.0,
     };
-    let bar: Option<Time> = st
-        .committed
-        .map(|t| proj.completion(job, st, t, spec, view.now) - Time::new(sunk));
-    let mut best: Option<(Target, Time)> = None;
-    let consider = |target: Target, best: &mut Option<(Target, Time)>| {
-        if !view.target_available(job.origin, target) {
-            return; // unit is down (fault injection): never place on it
-        }
-        let completion = proj.completion(job, st, target, spec, view.now);
-        if st.committed != Some(target) {
-            if let Some(bar) = bar {
-                if completion >= bar {
-                    return; // gain does not cover the sunk progress
-                }
-            }
+    // Continuing keeps the committed target's progress; every other
+    // target restarts from scratch.
+    let kept = committed.map(|t| {
+        let c = proj.completion(job, jobs.volumes_on(i, job, t), t, spec, view.now);
+        (t, c)
+    });
+    let bar: Option<Time> = kept.map(|(_, c)| c - Time::new(sunk));
+    // Down units (fault injection) are never placement targets.
+    let mut best = kept.filter(|&(t, _)| view.target_available(job.origin, t));
+    let fresh = (job.up, job.work, job.dn);
+    let others = std::iter::once(Target::Edge)
+        .chain(spec.clouds().map(Target::Cloud))
+        .filter(|&t| committed != Some(t) && view.target_available(job.origin, t));
+    for target in others {
+        let completion = proj.completion(job, fresh, target, spec, view.now);
+        if bar.is_some_and(|b| completion >= b) {
+            continue; // gain does not cover the sunk progress
         }
         if best.map_or(true, |(_, c)| completion < c) {
-            *best = Some((target, completion));
+            best = Some((target, completion));
         }
-    };
-    if let Some(t) = st.committed {
-        consider(t, &mut best);
-    }
-    consider(Target::Edge, &mut best);
-    for k in spec.clouds() {
-        consider(Target::Cloud(k), &mut best);
     }
     // Every unit can be down at once under fault injection; park the job on
     // its committed target (or the edge) until something recovers — the
     // engine's resource blocking keeps it from actually starting there.
-    best.map_or(st.committed.unwrap_or(Target::Edge), |(t, _)| t)
+    best.map_or(committed.unwrap_or(Target::Edge), |(t, _)| t)
 }
 
 struct Attempt {
@@ -318,20 +316,9 @@ impl OnlineScheduler for SsfEdf {
             // Deadlines unchanged since the last call: the order only
             // shrinks by the jobs that completed in between. Newly
             // released jobs cannot appear here — they have no deadline
-            // yet, which forces the replan branch above (stale inserts
-            // from a prior rebuild are already in the order). A `None`
-            // deadline means a platform bump voided the plan after the
-            // job was planned — `order` was cleared with it, nothing to
-            // drop.
-            for &id in view.delta_removed() {
-                let Some(d) = self.deadlines[id.0] else {
-                    continue;
-                };
-                let key = (d, id);
-                if let Ok(pos) = self.order.binary_search(&key) {
-                    self.order.remove(pos);
-                }
-            }
+            // yet, which forces the replan branch above — and a platform
+            // bump voided every deadline, forcing it too.
+            self.order.retain(|&(_, id)| !view.jobs.finished[id.0]);
         }
         for &(_, id) in &self.order {
             out.push(id, self.targets[id.0].expect("planned"));
@@ -521,7 +508,9 @@ mod tests {
     #[test]
     fn hysteresis_switches_only_when_gain_exceeds_sunk_progress() {
         use mmsec_platform::projection::Projection;
-        use mmsec_platform::{Instance, Job, JobArena, JobState, PendingSet, SimView};
+        use mmsec_platform::{
+            Instance, Job, JobArena, JobState, PendingSet, PlatformState, SimView,
+        };
         use mmsec_sim::Time;
 
         let spec = PlatformSpec::builder()
@@ -547,17 +536,15 @@ mod tests {
             let states = vec![state_with_up_done(1.0)];
             let arena = JobArena::from_states(&inst, &states);
             let pending = PendingSet::from_states(&inst, &states);
-            let view = SimView::new(&inst, Time::new(10.0), &arena, &pending);
+            let platform = PlatformState::new(inst.spec.clone());
+            let view = SimView::new(&inst, Time::new(10.0), &arena, &pending, &platform);
             let mut proj = Projection::from_view(&view);
             // Occupy cloud 0's CPU for 2 seconds with a phantom booking.
             let phantom = Job::new(EdgeId(0), 0.0, 2.0, 0.0, 0.0);
-            let fresh = JobState {
-                released: true,
-                ..JobState::default()
-            };
+            let fresh = (phantom.up, phantom.work, phantom.dn);
             proj.place(
                 &phantom,
-                &fresh,
+                fresh,
                 Target::Cloud(CloudId(0)),
                 view.spec(),
                 view.now,
@@ -572,16 +559,14 @@ mod tests {
             let states = vec![state_with_up_done(1.0)];
             let arena = JobArena::from_states(&inst, &states);
             let pending = PendingSet::from_states(&inst, &states);
-            let view = SimView::new(&inst, Time::new(10.0), &arena, &pending);
+            let platform = PlatformState::new(inst.spec.clone());
+            let view = SimView::new(&inst, Time::new(10.0), &arena, &pending, &platform);
             let mut proj = Projection::from_view(&view);
             let phantom = Job::new(EdgeId(0), 0.0, 10.0, 0.0, 0.0);
-            let fresh = JobState {
-                released: true,
-                ..JobState::default()
-            };
+            let fresh = (phantom.up, phantom.work, phantom.dn);
             proj.place(
                 &phantom,
-                &fresh,
+                fresh,
                 Target::Cloud(CloudId(0)),
                 view.spec(),
                 view.now,
@@ -595,16 +580,14 @@ mod tests {
             let states = vec![state_with_up_done(0.0)];
             let arena = JobArena::from_states(&inst, &states);
             let pending = PendingSet::from_states(&inst, &states);
-            let view = SimView::new(&inst, Time::new(10.0), &arena, &pending);
+            let platform = PlatformState::new(inst.spec.clone());
+            let view = SimView::new(&inst, Time::new(10.0), &arena, &pending, &platform);
             let mut proj = Projection::from_view(&view);
             let phantom = Job::new(EdgeId(0), 0.0, 3.0, 0.0, 0.0);
-            let fresh = JobState {
-                released: true,
-                ..JobState::default()
-            };
+            let fresh = (phantom.up, phantom.work, phantom.dn);
             proj.place(
                 &phantom,
-                &fresh,
+                fresh,
                 Target::Cloud(CloudId(0)),
                 view.spec(),
                 view.now,

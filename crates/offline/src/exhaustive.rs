@@ -17,7 +17,7 @@
 //! Cost is `O((P^c + 1)^n · n!)`; the constructor refuses `n > 8`.
 
 use mmsec_platform::projection::Projection;
-use mmsec_platform::{CloudId, Instance, JobId, JobState, Target};
+use mmsec_platform::{CloudId, Instance, JobId, Target};
 use mmsec_sim::Time;
 
 /// Result of the exhaustive search.
@@ -41,13 +41,6 @@ pub fn optimal_order_based(inst: &Instance) -> ExhaustiveOptimum {
     let spec = &inst.spec;
     let n_targets = 1 + spec.num_cloud();
 
-    let fresh: Vec<JobState> = (0..n)
-        .map(|_| JobState {
-            released: true,
-            ..JobState::default()
-        })
-        .collect();
-
     let mut best: Option<ExhaustiveOptimum> = None;
     let mut alloc_code = vec![0usize; n];
     loop {
@@ -65,7 +58,7 @@ pub fn optimal_order_based(inst: &Instance) -> ExhaustiveOptimum {
         // Permutations via Heap's algorithm over the placement order.
         let mut perm: Vec<usize> = (0..n).collect();
         let mut c = vec![0usize; n];
-        evaluate(inst, &fresh, &alloc, &perm, &mut best);
+        evaluate(inst, &alloc, &perm, &mut best);
         let mut i = 0;
         while i < n {
             if c[i] < i {
@@ -74,7 +67,7 @@ pub fn optimal_order_based(inst: &Instance) -> ExhaustiveOptimum {
                 } else {
                     perm.swap(c[i], i);
                 }
-                evaluate(inst, &fresh, &alloc, &perm, &mut best);
+                evaluate(inst, &alloc, &perm, &mut best);
                 c[i] += 1;
                 i = 0;
             } else {
@@ -101,7 +94,6 @@ pub fn optimal_order_based(inst: &Instance) -> ExhaustiveOptimum {
 
 fn evaluate(
     inst: &Instance,
-    fresh: &[JobState],
     alloc: &[Target],
     perm: &[usize],
     best: &mut Option<ExhaustiveOptimum>,
@@ -113,8 +105,10 @@ fn evaluate(
     for &ji in perm {
         let id = JobId(ji);
         let job = inst.job(id);
-        // Placement may not start before the release date.
-        let c = proj.place(job, &fresh[ji], alloc[ji], spec, job.release);
+        // Every job runs once, from scratch; placement may not start
+        // before the release date.
+        let fresh = (job.up, job.work, job.dn);
+        let c = proj.place(job, fresh, alloc[ji], spec, job.release);
         completions[ji] = c;
         let stretch = (c - job.release).seconds() / job.min_time(spec);
         worst = worst.max(stretch);

@@ -3,6 +3,7 @@
 use crate::job::Job;
 use crate::resource::{ResourceId, ResourcePair};
 use crate::spec::{CloudId, PlatformSpec};
+use mmsec_sim::time::approx::positive;
 use std::fmt;
 
 /// Where a job is (to be) executed: `alloc(i)` in the paper — 0 for the
@@ -46,6 +47,20 @@ impl fmt::Display for Phase {
 }
 
 impl Phase {
+    /// The phase a run on `target` starts with when volumes `(up, work,
+    /// dn)` are left: compute only on the edge, uplink → compute →
+    /// downlink on a cloud, skipping phases with (approximately) no
+    /// volume. `None` when nothing remains.
+    #[inline]
+    pub fn first(target: Target, (up, work, dn): (f64, f64, f64)) -> Option<Phase> {
+        match target {
+            Target::Edge => positive(work).then_some(Phase::Compute),
+            Target::Cloud(_) if positive(up) => Some(Phase::Uplink),
+            Target::Cloud(_) if positive(work) => Some(Phase::Compute),
+            Target::Cloud(_) => positive(dn).then_some(Phase::Downlink),
+        }
+    }
+
     /// Resources occupied while running phase `self` of `job` on `target`.
     pub fn resources(self, job: &Job, target: Target) -> ResourcePair {
         match (target, self) {

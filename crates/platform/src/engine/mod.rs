@@ -54,11 +54,13 @@
 //! visible in [`RunStats::decides`] versus [`RunStats::decide_skips`].
 //! Gating needs preemption: without it, a pin can expire at a phase
 //! completion — not an epoch bump — so a gated run would miss the
-//! re-target an ungated run applies there. Policies read the epoch and
-//! the pending membership delta since their last call via
-//! [`SimView::decision_epoch`], [`SimView::delta_inserted`], and
-//! [`SimView::delta_removed`], enabling incremental priority structures
-//! instead of per-call rebuild-and-sort.
+//! re-target an ungated run applies there. The epoch is the engine's
+//! alone; a policy keeping an incremental priority structure across
+//! calls (SSF-EDF's and Edge-Only's `(deadline, id)` order) rebuilds it
+//! when a job without a deadline appears or the
+//! [platform version](SimView::platform_version) moves, and otherwise
+//! only drops the jobs [`JobArena::finished`](crate::state::JobArena::finished)
+//! marks done.
 
 pub mod events;
 pub mod grant;

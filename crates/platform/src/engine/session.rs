@@ -135,7 +135,7 @@ pub enum SessionStatus {
 }
 
 /// A completed job, as accumulated by the session between
-/// [`Session::take_completions`] calls.
+/// [`Session::drain_completions`] calls.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompletionRecord {
     /// The job.
@@ -189,7 +189,7 @@ pub struct SessionStats {
 /// Build one through [`super::simulation::Simulation::session`]; drive it
 /// with [`Session::submit`], [`Session::step`], [`Session::run_until`],
 /// and [`Session::drain`]; read progress with [`Session::snapshot`] and
-/// [`Session::take_completions`]; convert the finished run into a
+/// [`Session::drain_completions`]; convert the finished run into a
 /// [`RunOutcome`] with [`Session::into_outcome`].
 pub struct Session<'a> {
     scheduler: SchedSlot<'a>,
@@ -729,16 +729,10 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Takes the completion records accumulated since the last call (in
-    /// completion order).
-    pub fn take_completions(&mut self) -> Vec<CompletionRecord> {
-        std::mem::take(&mut self.completions)
-    }
-
-    /// Drains the completion records accumulated since the last call,
-    /// keeping the buffer's capacity — unlike
-    /// [`Session::take_completions`], a steady-state consumer loop
-    /// (e.g. `mmsec serve`) never re-allocates the backlog storage.
+    /// Drains the completion records accumulated since the last call (in
+    /// completion order), keeping the buffer's capacity: a steady-state
+    /// consumer loop (e.g. `mmsec serve`) never re-allocates the backlog
+    /// storage.
     pub fn drain_completions(&mut self) -> impl Iterator<Item = CompletionRecord> + '_ {
         self.completions.drain(..)
     }
@@ -857,9 +851,13 @@ impl<'a> Session<'a> {
             );
         } else {
             {
-                let view = SimView::new(&self.instance, self.now, &self.jobs, &self.pending)
-                    .with_epoch(self.epoch)
-                    .with_platform(&self.platform);
+                let view = SimView::new(
+                    &self.instance,
+                    self.now,
+                    &self.jobs,
+                    &self.pending,
+                    &self.platform,
+                );
                 emit!(
                     self,
                     ObsEvent::DecideStart {
@@ -897,9 +895,6 @@ impl<'a> Session<'a> {
             }
             self.stats.decides += 1;
             self.decided_epoch = self.epoch;
-            // The delta always describes "membership change since the
-            // last invoked decide", for gated and ungated runs alike.
-            self.pending.clear_delta();
         }
         if let Some(t0) = mark {
             // The segment since the last fencepost holds the decide call
@@ -1010,9 +1005,13 @@ impl<'a> Session<'a> {
         }
         self.activations.clear();
         {
-            let view = SimView::new(&self.instance, self.now, &self.jobs, &self.pending)
-                .with_epoch(self.epoch)
-                .with_platform(&self.platform);
+            let view = SimView::new(
+                &self.instance,
+                self.now,
+                &self.jobs,
+                &self.pending,
+                &self.platform,
+            );
             if !self.opts.allow_preemption {
                 self.skip.fill(false);
                 grant::pin_running(

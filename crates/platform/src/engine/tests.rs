@@ -761,7 +761,7 @@ mod session {
             .submit(Job::new(EdgeId(0), 200.0, 1.0, 0.0, 0.0))
             .unwrap();
         session.drain().unwrap();
-        assert_eq!(session.take_completions().len(), 2);
+        assert_eq!(session.drain_completions().count(), 2);
     }
 
     #[test]
@@ -801,7 +801,7 @@ mod session {
             .submit(Job::new(EdgeId(0), 1.0, 1.0, 0.0, 0.0))
             .unwrap();
         session.drain().unwrap();
-        let recs = session.take_completions();
+        let recs: Vec<_> = session.drain_completions().collect();
         assert_eq!(recs.len(), 2);
         let late = recs[1];
         assert_eq!(late.release, Time::new(1.0));
@@ -810,7 +810,7 @@ mod session {
                                                      // processing time min(t^e, t^c) = min(2, 1): (4 − 1) / 1.
         assert!((late.stretch - 3.0).abs() < 1e-12);
         // Records are handed over exactly once.
-        assert!(session.take_completions().is_empty());
+        assert_eq!(session.drain_completions().count(), 0);
     }
 
     #[test]

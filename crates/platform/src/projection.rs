@@ -10,39 +10,11 @@
 //! simulation; the actual execution stays event-driven and preemptive.
 
 use crate::activity::Target;
-use crate::job::{Job, JobId};
+use crate::job::Job;
 use crate::resource::{ResourceId, ResourceMap};
 use crate::spec::PlatformSpec;
-use crate::state::JobState;
 use crate::view::SimView;
 use mmsec_sim::Time;
-
-/// Remaining volumes of a job if placed on `target`, accounting for the
-/// loss of progress when `target` differs from the committed resource.
-fn volumes(st: &JobState, job: &Job, target: Target) -> (f64, f64, f64) {
-    let keep = st.committed == Some(target);
-    match target {
-        Target::Edge => {
-            let w = if keep {
-                st.remaining_work(job)
-            } else {
-                job.work
-            };
-            (0.0, w, 0.0)
-        }
-        Target::Cloud(_) => {
-            if keep {
-                (
-                    st.remaining_up(job),
-                    st.remaining_work(job),
-                    st.remaining_dn(job),
-                )
-            } else {
-                (job.up, job.work, job.dn)
-            }
-        }
-    }
-}
 
 /// Scalar earliest-free profiles for every resource.
 #[derive(Clone, Debug)]
@@ -113,17 +85,17 @@ impl Projection {
         }
     }
 
-    /// Forecast completion time of `job` (state `st`) if placed next on
-    /// `target`, *without* reserving the resources.
+    /// Forecast completion time of `job` if placed next on `target` with
+    /// volumes `vols` left, *without* reserving the resources.
     pub fn completion(
         &self,
         job: &Job,
-        st: &JobState,
+        vols: (f64, f64, f64),
         target: Target,
         spec: &PlatformSpec,
         now: Time,
     ) -> Time {
-        self.forecast(job, st, target, spec, now).completion
+        self.forecast(job, vols, target, spec, now).completion
     }
 
     /// Forecast and reserve: advances the profiles of every resource the
@@ -131,12 +103,12 @@ impl Projection {
     pub fn place(
         &mut self,
         job: &Job,
-        st: &JobState,
+        vols: (f64, f64, f64),
         target: Target,
         spec: &PlatformSpec,
         now: Time,
     ) -> Time {
-        let f = self.forecast(job, st, target, spec, now);
+        let f = self.forecast(job, vols, target, spec, now);
         self.place_forecast(job, &f, target);
         f.completion
     }
@@ -170,43 +142,22 @@ impl Projection {
         }
     }
 
-    /// Picks the target (edge or any cloud processor) with the earliest
-    /// forecast completion; ties prefer the edge, then lower cloud ids
-    /// (deterministic).
-    pub fn best_target(
-        &self,
-        job: &Job,
-        st: &JobState,
-        spec: &PlatformSpec,
-        now: Time,
-    ) -> (Target, Time) {
-        let mut best = (
-            Target::Edge,
-            self.completion(job, st, Target::Edge, spec, now),
-        );
-        for k in spec.clouds() {
-            let t = Target::Cloud(k);
-            let c = self.completion(job, st, t, spec, now);
-            if c < best.1 {
-                best = (t, c);
-            }
-        }
-        best
-    }
-
     /// Raw forecast of one placement: the phase-end instants and which
-    /// communication phases exist. Exposed so decision rounds can reuse
-    /// the winning candidate's forecast at claim time instead of
-    /// recomputing it.
+    /// communication phases exist. `(up, work, dn)` are the volumes the
+    /// job has left on `target` — [`JobArena::volumes_on`] for a running
+    /// job, the job's full volumes for a fresh one; an edge run reads only
+    /// `work`. Exposed so decision rounds can reuse the winning
+    /// candidate's forecast at claim time instead of recomputing it.
+    ///
+    /// [`JobArena::volumes_on`]: crate::state::JobArena::volumes_on
     pub fn forecast(
         &self,
         job: &Job,
-        st: &JobState,
+        (up, work, dn): (f64, f64, f64),
         target: Target,
         spec: &PlatformSpec,
         now: Time,
     ) -> Forecast {
-        let (up, work, dn) = volumes(st, job, target);
         match target {
             Target::Edge => {
                 let start = self.free[ResourceId::EdgeCpu(job.origin)].max(now);
@@ -318,184 +269,123 @@ impl Forecast {
     }
 }
 
-/// Forecast completion times for `order` (a priority-ordered list of
-/// pending jobs with chosen targets); convenience used by tests and by the
-/// SSF-EDF feasibility check.
-pub fn project_sequence(view: &SimView<'_>, order: &[(JobId, Target)]) -> Vec<(JobId, Time)> {
-    let mut proj = Projection::from_view(view);
-    order
-        .iter()
-        .map(|&(id, target)| {
-            let st = view.state(id);
-            let c = proj.place(view.job(id), &st, target, view.spec(), view.now);
-            (id, c)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::Instance;
+    use crate::job::JobId;
     use crate::spec::{CloudId, EdgeId};
-    use crate::state::JobArena;
-    use crate::view::PendingSet;
+    use crate::state::{JobArena, JobState};
 
-    fn view_fixture(jobs: Vec<Job>) -> (Instance, Vec<JobState>) {
+    /// Every job released with no progress, on edge speed 0.5 and two
+    /// unit-speed clouds.
+    fn fixture(jobs: Vec<Job>) -> (Instance, JobArena) {
         let spec = PlatformSpec::builder()
             .edges(vec![0.5])
             .cloud_pool(2)
             .build();
         let inst = Instance::new(spec, jobs).unwrap();
-        let mut states = vec![JobState::default(); inst.num_jobs()];
-        for s in &mut states {
-            s.released = true;
-        }
-        (inst, states)
+        let released = JobState {
+            released: true,
+            ..JobState::default()
+        };
+        let arena = JobArena::from_states(&inst, &vec![released; inst.num_jobs()]);
+        (inst, arena)
+    }
+
+    /// Forecast completion of job `i` on `target` (volumes by the arena's
+    /// keep-or-restart rule).
+    fn completion(
+        proj: &Projection,
+        inst: &Instance,
+        arena: &JobArena,
+        i: usize,
+        t: Target,
+    ) -> Time {
+        let job = inst.job(JobId(i));
+        proj.completion(job, arena.volumes_on(i, job, t), t, &inst.spec, proj.floor)
+    }
+
+    fn place(
+        proj: &mut Projection,
+        inst: &Instance,
+        arena: &JobArena,
+        i: usize,
+        t: Target,
+    ) -> Time {
+        let job = inst.job(JobId(i));
+        let now = proj.floor;
+        proj.place(job, arena.volumes_on(i, job, t), t, &inst.spec, now)
     }
 
     #[test]
     fn single_job_forecasts() {
-        let (inst, states) = view_fixture(vec![Job::new(EdgeId(0), 0.0, 2.0, 1.0, 1.0)]);
-        let arena = JobArena::from_states(&inst, &states);
-        let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
-        let proj = Projection::from_view(&view);
-        let job = inst.job(JobId(0));
+        let (inst, arena) = fixture(vec![Job::new(EdgeId(0), 0.0, 2.0, 1.0, 1.0)]);
+        let proj = Projection::new(&inst.spec, Time::ZERO);
         // Edge: 2 / 0.5 = 4. Cloud: 1 + 2 + 1 = 4.
         assert_eq!(
-            proj.completion(job, &states[0], Target::Edge, view.spec(), view.now),
+            completion(&proj, &inst, &arena, 0, Target::Edge),
             Time::new(4.0)
         );
         assert_eq!(
-            proj.completion(
-                job,
-                &states[0],
-                Target::Cloud(CloudId(0)),
-                view.spec(),
-                view.now
-            ),
+            completion(&proj, &inst, &arena, 0, Target::Cloud(CloudId(0))),
             Time::new(4.0)
         );
-        // Tie prefers the edge.
-        let (t, c) = proj.best_target(job, &states[0], view.spec(), view.now);
-        assert_eq!(t, Target::Edge);
-        assert_eq!(c, Time::new(4.0));
     }
 
     #[test]
     fn placement_advances_profiles() {
-        let (inst, states) = view_fixture(vec![
+        let (inst, arena) = fixture(vec![
             Job::new(EdgeId(0), 0.0, 2.0, 1.0, 1.0),
             Job::new(EdgeId(0), 0.0, 2.0, 1.0, 1.0),
         ]);
-        let arena = JobArena::from_states(&inst, &states);
-        let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
-        let mut proj = Projection::from_view(&view);
-        let spec = view.spec();
-        let c0 = proj.place(
-            inst.job(JobId(0)),
-            &states[0],
-            Target::Cloud(CloudId(0)),
-            spec,
-            view.now,
-        );
+        let mut proj = Projection::new(&inst.spec, Time::ZERO);
+        let c0 = place(&mut proj, &inst, &arena, 0, Target::Cloud(CloudId(0)));
         assert_eq!(c0, Time::new(4.0));
         // Second job on the same cloud: uplink waits for EdgeOut until 1,
         // up [1,2), exec waits for cloud CPU until 3, exec [3,5), dn [5,6).
-        let c1 = proj.completion(
-            inst.job(JobId(1)),
-            &states[1],
-            Target::Cloud(CloudId(0)),
-            spec,
-            view.now,
-        );
+        let c1 = completion(&proj, &inst, &arena, 1, Target::Cloud(CloudId(0)));
         assert_eq!(c1, Time::new(6.0));
         // On the other cloud processor: up [1,2) (EdgeOut), exec [2,4),
         // dn [4,5) (EdgeIn free at 4 from J1's downlink... J1 dn ends 4).
-        let c1b = proj.completion(
-            inst.job(JobId(1)),
-            &states[1],
-            Target::Cloud(CloudId(1)),
-            spec,
-            view.now,
-        );
+        let c1b = completion(&proj, &inst, &arena, 1, Target::Cloud(CloudId(1)));
         assert_eq!(c1b, Time::new(5.0));
-        // best_target picks the edge (free: 2/0.5 = 4) over cloud 1 (5).
-        let (t, c) = proj.best_target(inst.job(JobId(1)), &states[1], spec, view.now);
-        assert_eq!(t, Target::Edge);
-        assert_eq!(c, Time::new(4.0));
+        // The edge is still free: 2/0.5 = 4, earlier than cloud 1's 5.
+        let c1e = completion(&proj, &inst, &arena, 1, Target::Edge);
+        assert_eq!(c1e, Time::new(4.0));
     }
 
     #[test]
     fn progress_kept_on_committed_target_only() {
-        let (inst, mut states) = view_fixture(vec![Job::new(EdgeId(0), 0.0, 4.0, 2.0, 2.0)]);
-        states[0].committed = Some(Target::Cloud(CloudId(0)));
-        states[0].up_done = 1.5;
-        let arena = JobArena::from_states(&inst, &states);
-        let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::new(10.0), &arena, &pending);
-        let proj = Projection::from_view(&view);
-        let job = inst.job(JobId(0));
+        let (inst, mut arena) = fixture(vec![Job::new(EdgeId(0), 0.0, 4.0, 2.0, 2.0)]);
+        arena.committed[0] = Some(Target::Cloud(CloudId(0)));
+        arena.up_done[0] = 1.5;
+        let proj = Projection::new(&inst.spec, Time::new(10.0));
         // Same cloud: 0.5 up + 4 work + 2 dn = 6.5 after now.
         assert_eq!(
-            proj.completion(
-                job,
-                &states[0],
-                Target::Cloud(CloudId(0)),
-                view.spec(),
-                view.now
-            ),
+            completion(&proj, &inst, &arena, 0, Target::Cloud(CloudId(0))),
             Time::new(16.5)
         );
         // Other cloud: full 2 + 4 + 2 = 8.
         assert_eq!(
-            proj.completion(
-                job,
-                &states[0],
-                Target::Cloud(CloudId(1)),
-                view.spec(),
-                view.now
-            ),
+            completion(&proj, &inst, &arena, 0, Target::Cloud(CloudId(1))),
             Time::new(18.0)
         );
     }
 
     #[test]
     fn zero_comm_volumes_skip_ports() {
-        let (inst, states) = view_fixture(vec![
+        let (inst, arena) = fixture(vec![
             Job::new(EdgeId(0), 0.0, 2.0, 5.0, 0.0), // holds EdgeOut for 5
             Job::new(EdgeId(0), 0.0, 2.0, 0.0, 0.0), // no uplink at all
         ]);
-        let arena = JobArena::from_states(&inst, &states);
-        let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
-        let mut proj = Projection::from_view(&view);
-        proj.place(
-            inst.job(JobId(0)),
-            &states[0],
-            Target::Cloud(CloudId(0)),
-            view.spec(),
-            view.now,
-        );
+        let mut proj = Projection::new(&inst.spec, Time::ZERO);
+        place(&mut proj, &inst, &arena, 0, Target::Cloud(CloudId(0)));
         // J2 has up = 0: it does not wait for the busy EdgeOut port; it
         // only waits for the cloud CPU (busy until 7).
-        let c = proj.completion(
-            inst.job(JobId(1)),
-            &states[1],
-            Target::Cloud(CloudId(0)),
-            view.spec(),
-            view.now,
-        );
+        let c = completion(&proj, &inst, &arena, 1, Target::Cloud(CloudId(0)));
         assert_eq!(c, Time::new(9.0));
-        let c2 = proj.completion(
-            inst.job(JobId(1)),
-            &states[1],
-            Target::Cloud(CloudId(1)),
-            view.spec(),
-            view.now,
-        );
+        let c2 = completion(&proj, &inst, &arena, 1, Target::Cloud(CloudId(1)));
         assert_eq!(c2, Time::new(2.0));
     }
 
@@ -535,28 +425,33 @@ mod tests {
                     PlatformSpec::builder().edge(0.7).cloud_pool(2).build()
                 };
                 let job = Job::new(EdgeId(0), 0.0, work, up, dn);
-                let mut st = JobState {
-                    released: true,
-                    up_done: done[0] * up,
-                    work_done: done[1] * work,
-                    dn_done: done[2] * dn,
-                    ..JobState::default()
-                };
-                st.committed = match committed {
-                    0 => None,
-                    1 => Some(Target::Edge),
-                    c => Some(Target::Cloud(CloudId(c - 2))),
-                };
+                let mut arena = JobArena::new();
+                arena.push(
+                    JobState {
+                        released: true,
+                        up_done: done[0] * up,
+                        work_done: done[1] * work,
+                        dn_done: done[2] * dn,
+                        committed: match committed {
+                            0 => None,
+                            1 => Some(Target::Edge),
+                            c => Some(Target::Cloud(CloudId(c - 2))),
+                        },
+                        ..JobState::default()
+                    },
+                    job.min_time(&spec),
+                );
                 let target = match target_pick {
                     0 => Target::Edge,
                     t => Target::Cloud(CloudId(t - 1)),
                 };
                 let now = Time::new(now);
                 let proj = Projection::new(&spec, now);
-                let reference = proj.forecast(&job, &st, target, &spec, now);
-                let (u, w, d) = volumes(&st, &job, target);
+                let vols = arena.volumes_on(0, &job, target);
+                let reference = proj.forecast(&job, vols, target, &spec, now);
+                let (u, w, d) = vols;
                 let (u, d, speed) = match target {
-                    Target::Edge => (u, d, spec.edge_speed(job.origin)),
+                    Target::Edge => (0.0, 0.0, spec.edge_speed(job.origin)),
                     Target::Cloud(k) => (
                         u * spec.path_up(k),
                         d * spec.path_dn(k),
@@ -567,26 +462,5 @@ mod tests {
                 prop_assert_eq!(fast, reference);
             }
         }
-    }
-
-    #[test]
-    fn project_sequence_orders_matter() {
-        let (inst, states) = view_fixture(vec![
-            Job::new(EdgeId(0), 0.0, 1.0, 0.0, 0.0),
-            Job::new(EdgeId(0), 0.0, 10.0, 0.0, 0.0),
-        ]);
-        let arena = JobArena::from_states(&inst, &states);
-        let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
-        // Both on the edge CPU, short first.
-        let completions =
-            project_sequence(&view, &[(JobId(0), Target::Edge), (JobId(1), Target::Edge)]);
-        assert_eq!(completions[0].1, Time::new(2.0));
-        assert_eq!(completions[1].1, Time::new(22.0));
-        // Long first.
-        let completions =
-            project_sequence(&view, &[(JobId(1), Target::Edge), (JobId(0), Target::Edge)]);
-        assert_eq!(completions[0].1, Time::new(20.0));
-        assert_eq!(completions[1].1, Time::new(22.0));
     }
 }

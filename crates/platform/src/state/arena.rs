@@ -18,16 +18,19 @@
 //! uncached recomputation, since the cached value is produced by the very
 //! same fold.
 //!
-//! [`JobState`] remains the one-job AoS snapshot type (tests, traces, and
-//! tools keep building and matching on plain structs); [`JobArena`]
-//! converts losslessly in both directions.
+//! The arena is the only copy of job progress a policy reads, and it owns
+//! the progress arithmetic: the keep-or-restart rule
+//! ([`JobArena::volumes_on`]), the next-phase rule
+//! ([`JobArena::current_phase`], via [`Phase::first`]), and the
+//! contention-free durations built on them. [`JobState`] is only the
+//! one-job record that [`JobArena::push`] and [`JobArena::from_states`]
+//! take.
 
 use super::JobState;
 use crate::activity::{Phase, Target};
 use crate::instance::Instance;
 use crate::job::Job;
 use crate::spec::PlatformSpec;
-use mmsec_sim::time::approx;
 use mmsec_sim::Time;
 
 /// Dense struct-of-arrays job state, indexed by raw job id.
@@ -76,9 +79,9 @@ impl JobArena {
         arena
     }
 
-    /// Builds an arena from per-job snapshot structs, computing the
-    /// min-time cache from the instance's frozen spec — the convenience
-    /// constructor for ad-hoc views in tests and tools.
+    /// Builds an arena from per-job records, computing the min-time cache
+    /// from the instance's frozen spec — the convenience constructor for
+    /// ad-hoc views in tests and tools.
     pub fn from_states(instance: &Instance, states: &[JobState]) -> Self {
         assert_eq!(states.len(), instance.num_jobs(), "one state per job");
         let mut arena = JobArena::new();
@@ -111,21 +114,6 @@ impl JobArena {
         self.running.push(st.running);
         self.restarts.push(st.restarts);
         self.min_time.push(min_time);
-    }
-
-    /// One job's state gathered back into the AoS snapshot struct.
-    pub fn snapshot(&self, i: usize) -> JobState {
-        JobState {
-            released: self.released[i],
-            finished: self.finished[i],
-            completion: self.completion[i],
-            committed: self.committed[i],
-            up_done: self.up_done[i],
-            work_done: self.work_done[i],
-            dn_done: self.dn_done[i],
-            running: self.running[i],
-            restarts: self.restarts[i],
-        }
     }
 
     /// Recomputes the min-time cache for every job under `spec`. Called by
@@ -169,34 +157,41 @@ impl JobArena {
         (job.dn - self.dn_done[i]).max(0.0)
     }
 
-    /// The phase job `i` would run next if (re)activated on `target` (see
-    /// [`JobState::current_phase`] for the progress-validity caveat).
+    /// All three remaining volumes `(up, work, dn)` of job `i`.
     #[inline]
-    pub fn current_phase(&self, i: usize, job: &Job, target: Target) -> Option<Phase> {
-        match target {
-            Target::Edge => {
-                if approx::positive(self.remaining_work(i, job)) {
-                    Some(Phase::Compute)
-                } else {
-                    None
-                }
-            }
-            Target::Cloud(_) => {
-                if approx::positive(self.remaining_up(i, job)) {
-                    Some(Phase::Uplink)
-                } else if approx::positive(self.remaining_work(i, job)) {
-                    Some(Phase::Compute)
-                } else if approx::positive(self.remaining_dn(i, job)) {
-                    Some(Phase::Downlink)
-                } else {
-                    None
-                }
-            }
+    fn remaining(&self, i: usize, job: &Job) -> (f64, f64, f64) {
+        (
+            self.remaining_up(i, job),
+            self.remaining_work(i, job),
+            self.remaining_dn(i, job),
+        )
+    }
+
+    /// Volumes `(up, work, dn)` job `i` has to run if placed on `target`:
+    /// the remaining ones on its committed target (progress is kept), the
+    /// job's full ones anywhere else (re-execution from scratch). The one
+    /// keep-or-restart rule every forecast and duration builds on.
+    #[inline]
+    pub fn volumes_on(&self, i: usize, job: &Job, target: Target) -> (f64, f64, f64) {
+        if self.committed[i] == Some(target) {
+            self.remaining(i, job)
+        } else {
+            (job.up, job.work, job.dn)
         }
     }
 
+    /// The phase job `i` would run next if (re)activated on `target`,
+    /// skipping phases with (approximately) no remaining volume; `None`
+    /// when nothing remains. Progress counts only on the committed target:
+    /// callers weighing a *switch* want [`JobArena::volumes_on`] instead.
+    #[inline]
+    pub fn current_phase(&self, i: usize, job: &Job, target: Target) -> Option<Phase> {
+        Phase::first(target, self.remaining(i, job))
+    }
+
     /// Contention-free remaining duration if job `i` continues on `target`
-    /// (same-commitment progress).
+    /// (same-commitment progress) — the optimistic completion-time
+    /// estimate every heuristic of §V builds on.
     #[inline]
     pub fn remaining_time_on(
         &self,
@@ -205,14 +200,7 @@ impl JobArena {
         target: Target,
         spec: &PlatformSpec,
     ) -> f64 {
-        match target {
-            Target::Edge => self.remaining_work(i, job) / spec.edge_speed(job.origin),
-            Target::Cloud(k) => {
-                self.remaining_up(i, job) * spec.path_up(k)
-                    + self.remaining_work(i, job) / spec.cloud_speed(k)
-                    + self.remaining_dn(i, job) * spec.path_dn(k)
-            }
-        }
+        duration(job, target, self.remaining(i, job), spec)
     }
 
     /// Contention-free remaining duration of job `i` on `target`,
@@ -226,9 +214,25 @@ impl JobArena {
         target: Target,
         spec: &PlatformSpec,
     ) -> f64 {
-        match self.committed[i] {
-            Some(t) if t == target => self.remaining_time_on(i, job, target, spec),
-            _ => JobState::fresh_time_on(job, target, spec),
+        duration(job, target, self.volumes_on(i, job, target), spec)
+    }
+}
+
+/// Contention-free duration of volumes `(up, work, dn)` of `job` on
+/// `target`: work at the target CPU's speed, transfers priced along the
+/// tier path (the same expression as [`Job::edge_time`] and
+/// [`Job::cloud_time_on`] on the full volumes).
+#[inline]
+fn duration(
+    job: &Job,
+    target: Target,
+    (up, work, dn): (f64, f64, f64),
+    spec: &PlatformSpec,
+) -> f64 {
+    match target {
+        Target::Edge => work / spec.edge_speed(job.origin),
+        Target::Cloud(k) => {
+            up * spec.path_up(k) + work / spec.cloud_speed(k) + dn * spec.path_dn(k)
         }
     }
 }
@@ -260,13 +264,21 @@ mod tests {
         };
         let arena = JobArena::from_states(&inst, std::slice::from_ref(&st));
         assert_eq!(arena.len(), 1);
-        assert_eq!(arena.snapshot(0), st);
+        assert!(arena.released[0] && !arena.finished[0]);
+        assert_eq!(arena.completion[0], None);
+        assert_eq!(arena.committed[0], st.committed);
+        assert_eq!(
+            (arena.up_done[0], arena.work_done[0], arena.dn_done[0]),
+            (1.5, 0.0, 0.0)
+        );
+        assert_eq!(arena.running[0], None);
+        assert_eq!(arena.restarts[0], 2);
         // min_time = min(4/0.5, 2+4+1) = 7 under the frozen spec.
         assert!((arena.min_time[0] - 7.0).abs() < 1e-12);
     }
 
     #[test]
-    fn columns_grow_in_lock_step_and_agree_with_job_state() {
+    fn columns_grow_in_lock_step() {
         let inst = fixture();
         let job = inst.job(JobId(0));
         let mut arena = JobArena::fresh(&inst, &inst.spec);
@@ -276,20 +288,15 @@ mod tests {
         arena.up_done[0] = 2.0;
         let tgt = Target::Cloud(CloudId(0));
         assert_eq!(arena.current_phase(0, job, tgt), Some(Phase::Compute));
-        assert_eq!(
-            arena.current_phase(0, job, tgt),
-            arena.snapshot(0).current_phase(job, tgt)
-        );
-        assert_eq!(
-            arena.remaining_time_on(0, job, tgt, &inst.spec),
-            arena.snapshot(0).remaining_time_on(job, tgt, &inst.spec)
-        );
+        // 0 up + 4 work + 1 dn left on cloud 0.
+        assert_eq!(arena.remaining_time_on(0, job, tgt, &inst.spec), 5.0);
         arena.committed[0] = Some(tgt);
+        assert_eq!(arena.volumes_on(0, job, tgt), (0.0, 4.0, 1.0));
+        // The edge restarts from scratch: 4 / 0.5.
+        assert_eq!(arena.volumes_on(0, job, Target::Edge), (2.0, 4.0, 1.0));
         assert_eq!(
             arena.duration_if_placed(0, job, Target::Edge, &inst.spec),
-            arena
-                .snapshot(0)
-                .duration_if_placed(job, Target::Edge, &inst.spec)
+            8.0
         );
         arena.reset_progress(0);
         assert_eq!(arena.up_done[0], 0.0);

@@ -1,4 +1,4 @@
-//! Dynamic simulation state: per-job progress ([`JobState`]) and the
+//! Dynamic simulation state: per-job progress ([`JobArena`]) and the
 //! versioned mutable platform runtime ([`platform::PlatformState`]).
 //!
 //! The read-only view handed to schedulers ([`crate::view::SimView`]) and
@@ -11,12 +11,12 @@ pub use arena::JobArena;
 pub use platform::{PlatformError, PlatformMutation, PlatformState};
 
 use crate::activity::{Phase, Target};
-use crate::job::Job;
-use crate::spec::PlatformSpec;
-use mmsec_sim::time::approx;
 use mmsec_sim::Time;
 
-/// Dynamic state of one job during a simulation.
+/// One job's dynamic state as a plain record: what [`JobArena::push`] and
+/// [`JobArena::from_states`] take. The arena owns the progress arithmetic;
+/// a record only says which job is pending
+/// ([`crate::view::PendingSet::from_states`] scans [`JobState::active`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobState {
     /// The job has been released (`now ≥ r_i`).
@@ -56,92 +56,6 @@ impl Default for JobState {
 }
 
 impl JobState {
-    /// Wipes all progress (re-execution from scratch: "the time spent up to
-    /// re-assignment is lost").
-    pub fn reset_progress(&mut self) {
-        self.up_done = 0.0;
-        self.work_done = 0.0;
-        self.dn_done = 0.0;
-        self.restarts += 1;
-    }
-
-    /// Remaining uplink time for `job` if continuing on a cloud target.
-    pub fn remaining_up(&self, job: &Job) -> f64 {
-        (job.up - self.up_done).max(0.0)
-    }
-
-    /// Remaining work (in work units).
-    pub fn remaining_work(&self, job: &Job) -> f64 {
-        (job.work - self.work_done).max(0.0)
-    }
-
-    /// Remaining downlink time.
-    pub fn remaining_dn(&self, job: &Job) -> f64 {
-        (job.dn - self.dn_done).max(0.0)
-    }
-
-    /// The phase the job would run next if (re)activated on `target`,
-    /// skipping phases with (approximately) no remaining volume.
-    /// Returns `None` when nothing remains — i.e. the job is complete.
-    ///
-    /// Progress counters are meaningful only if `target` matches the
-    /// committed target; callers evaluating a *switch* must treat the job
-    /// as starting from scratch on the new target instead.
-    pub fn current_phase(&self, job: &Job, target: Target) -> Option<Phase> {
-        match target {
-            Target::Edge => {
-                if approx::positive(self.remaining_work(job)) {
-                    Some(Phase::Compute)
-                } else {
-                    None
-                }
-            }
-            Target::Cloud(_) => {
-                if approx::positive(self.remaining_up(job)) {
-                    Some(Phase::Uplink)
-                } else if approx::positive(self.remaining_work(job)) {
-                    Some(Phase::Compute)
-                } else if approx::positive(self.remaining_dn(job)) {
-                    Some(Phase::Downlink)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Contention-free remaining duration if the job continues on `target`
-    /// (same-commitment progress) — the optimistic completion-time
-    /// estimate every heuristic of §V builds on.
-    pub fn remaining_time_on(&self, job: &Job, target: Target, spec: &PlatformSpec) -> f64 {
-        match target {
-            Target::Edge => self.remaining_work(job) / spec.edge_speed(job.origin),
-            Target::Cloud(k) => {
-                self.remaining_up(job) * spec.path_up(k)
-                    + self.remaining_work(job) / spec.cloud_speed(k)
-                    + self.remaining_dn(job) * spec.path_dn(k)
-            }
-        }
-    }
-
-    /// Contention-free duration if the job *restarts from scratch* on
-    /// `target` (used when evaluating a re-execution).
-    pub fn fresh_time_on(job: &Job, target: Target, spec: &PlatformSpec) -> f64 {
-        match target {
-            Target::Edge => job.edge_time(spec),
-            Target::Cloud(k) => job.cloud_time_on(spec, k),
-        }
-    }
-
-    /// Contention-free remaining duration on `target`, accounting for a
-    /// reset when `target` differs from the committed one.
-    pub fn duration_if_placed(&self, job: &Job, target: Target, spec: &PlatformSpec) -> f64 {
-        match self.committed {
-            Some(t) if t == target => self.remaining_time_on(job, target, spec),
-            _ => Self::fresh_time_on(job, target, spec),
-        }
-    }
-
     /// True when the job has been released but not finished.
     pub fn active(&self) -> bool {
         self.released && !self.finished
@@ -150,33 +64,34 @@ impl JobState {
 
 #[cfg(test)]
 mod tests {
+    // The progress arithmetic on `JobArena`, from `JobState` records.
     use super::*;
     use crate::instance::Instance;
-    use crate::job::JobId;
-    use crate::spec::{CloudId, EdgeId};
+    use crate::job::{Job, JobId};
+    use crate::spec::{CloudId, EdgeId, PlatformSpec};
 
-    fn fixture() -> (Instance, Job) {
+    fn fixture() -> Instance {
         let spec = PlatformSpec::builder()
             .edges(vec![0.5])
             .cloud_pool(2)
             .build();
         let job = Job::new(EdgeId(0), 1.0, 4.0, 2.0, 1.0);
-        let inst = Instance::new(spec, vec![job]).unwrap();
-        (inst, job)
+        Instance::new(spec, vec![job]).unwrap()
     }
 
     #[test]
     fn phase_progression_on_cloud() {
-        let (_inst, job) = fixture();
-        let mut st = JobState::default();
+        let inst = fixture();
+        let job = inst.job(JobId(0));
+        let mut arena = JobArena::fresh(&inst, &inst.spec);
         let tgt = Target::Cloud(CloudId(0));
-        assert_eq!(st.current_phase(&job, tgt), Some(Phase::Uplink));
-        st.up_done = 2.0;
-        assert_eq!(st.current_phase(&job, tgt), Some(Phase::Compute));
-        st.work_done = 4.0;
-        assert_eq!(st.current_phase(&job, tgt), Some(Phase::Downlink));
-        st.dn_done = 1.0;
-        assert_eq!(st.current_phase(&job, tgt), None);
+        assert_eq!(arena.current_phase(0, job, tgt), Some(Phase::Uplink));
+        arena.up_done[0] = 2.0;
+        assert_eq!(arena.current_phase(0, job, tgt), Some(Phase::Compute));
+        arena.work_done[0] = 4.0;
+        assert_eq!(arena.current_phase(0, job, tgt), Some(Phase::Downlink));
+        arena.dn_done[0] = 1.0;
+        assert_eq!(arena.current_phase(0, job, tgt), None);
     }
 
     #[test]
@@ -188,59 +103,61 @@ mod tests {
         // Kang-style job: no downlink.
         let job = Job::new(EdgeId(0), 0.0, 3.0, 0.0, 0.0);
         let inst = Instance::new(spec, vec![job]).unwrap();
-        let st = JobState::default();
+        let mut arena = JobArena::fresh(&inst, &inst.spec);
         // up = 0 → starts in Compute directly.
         assert_eq!(
-            st.current_phase(inst.job(JobId(0)), Target::Cloud(CloudId(0))),
+            arena.current_phase(0, inst.job(JobId(0)), Target::Cloud(CloudId(0))),
             Some(Phase::Compute)
         );
-        let mut done = st.clone();
-        done.work_done = 3.0;
+        arena.work_done[0] = 3.0;
         // dn = 0 → complete as soon as work is done.
         assert_eq!(
-            done.current_phase(inst.job(JobId(0)), Target::Cloud(CloudId(0))),
+            arena.current_phase(0, inst.job(JobId(0)), Target::Cloud(CloudId(0))),
             None
         );
     }
 
     #[test]
     fn remaining_times() {
-        let (inst, job) = fixture();
+        let inst = fixture();
+        let job = inst.job(JobId(0));
         let spec = &inst.spec;
-        let mut st = JobState::default();
+        let mut arena = JobArena::fresh(&inst, spec);
         // Fresh: edge 4/0.5 = 8; cloud 2+4+1 = 7.
-        assert_eq!(st.remaining_time_on(&job, Target::Edge, spec), 8.0);
+        assert_eq!(arena.remaining_time_on(0, job, Target::Edge, spec), 8.0);
         assert_eq!(
-            st.remaining_time_on(&job, Target::Cloud(CloudId(0)), spec),
+            arena.remaining_time_on(0, job, Target::Cloud(CloudId(0)), spec),
             7.0
         );
-        st.up_done = 1.5;
-        st.committed = Some(Target::Cloud(CloudId(0)));
+        arena.up_done[0] = 1.5;
+        arena.committed[0] = Some(Target::Cloud(CloudId(0)));
         assert_eq!(
-            st.duration_if_placed(&job, Target::Cloud(CloudId(0)), spec),
+            arena.duration_if_placed(0, job, Target::Cloud(CloudId(0)), spec),
             5.5
         );
         // Switching to the other cloud processor restarts from scratch.
         assert_eq!(
-            st.duration_if_placed(&job, Target::Cloud(CloudId(1)), spec),
+            arena.duration_if_placed(0, job, Target::Cloud(CloudId(1)), spec),
             7.0
         );
         // Switching to the edge restarts too.
-        assert_eq!(st.duration_if_placed(&job, Target::Edge, spec), 8.0);
+        assert_eq!(arena.duration_if_placed(0, job, Target::Edge, spec), 8.0);
     }
 
     #[test]
     fn reset_progress_counts_restarts() {
-        let mut st = JobState {
+        let inst = fixture();
+        let st = JobState {
             up_done: 1.0,
             work_done: 2.0,
             dn_done: 0.5,
             ..JobState::default()
         };
-        st.reset_progress();
-        assert_eq!(st.up_done, 0.0);
-        assert_eq!(st.work_done, 0.0);
-        assert_eq!(st.dn_done, 0.0);
-        assert_eq!(st.restarts, 1);
+        let mut arena = JobArena::from_states(&inst, &[st]);
+        arena.reset_progress(0);
+        assert_eq!(arena.up_done[0], 0.0);
+        assert_eq!(arena.work_done[0], 0.0);
+        assert_eq!(arena.dn_done[0], 0.0);
+        assert_eq!(arena.restarts[0], 1);
     }
 }

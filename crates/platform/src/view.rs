@@ -8,10 +8,13 @@
 //!   at every event (the per-event O(n) scan the decision core used to
 //!   pay in each policy).
 //! * [`SimView`] — the read-only view handed to
-//!   [`crate::engine::OnlineScheduler::decide`], bundling the instance,
-//!   the current time, per-job dynamic state, and the pending set, plus
-//!   the deadline/remaining-time-per-target helpers that every heuristic
-//!   of paper §V builds on (previously duplicated across policies).
+//!   [`crate::engine::OnlineScheduler::decide`]: the instance, the current
+//!   time, the per-job progress ([`JobArena`], its only copy), the pending
+//!   set, and the engine's [`PlatformState`], plus the
+//!   deadline/remaining-time-per-target helpers that every heuristic of
+//!   paper §V builds on. There is one constructor, [`SimView::new`]; an
+//!   ad-hoc view (tests, tools) wraps the instance's spec in
+//!   [`PlatformState::new`].
 
 use crate::activity::Target;
 use crate::instance::Instance;
@@ -22,12 +25,13 @@ use mmsec_sim::Time;
 
 /// Instantaneous unit/link availability under fault injection.
 ///
-/// The engine owns one and flips flags as `UnitDown`/`UnitUp`/`LinkChange`
-/// events fire; policies read it through the [`SimView`] accessors
-/// ([`SimView::edge_available`], [`SimView::cloud_available`],
-/// [`SimView::link_factor`], [`SimView::target_available`]) so they can
-/// skip down units when placing. A view without an attached availability
-/// (the fault-free engine path) reports every unit as up.
+/// The engine's [`PlatformState`] owns one and flips flags as
+/// `UnitDown`/`UnitUp`/`LinkChange` events fire; policies read it through
+/// the [`SimView`] accessors ([`SimView::edge_available`],
+/// [`SimView::cloud_available`], [`SimView::link_factor`],
+/// [`SimView::target_available`]) so they can skip down units when
+/// placing. On a static platform ([`PlatformState::overlay`] is `None`)
+/// every unit reports up.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Availability {
     /// Per-edge up flag, indexed by [`EdgeId`].
@@ -55,35 +59,10 @@ impl Availability {
 /// when its release event fires and removed when it completes. Between
 /// those events membership never changes, so policies get an O(pending)
 /// iteration per decision instead of an O(n) rescan of all job states.
-///
-/// # Membership delta
-///
-/// Besides the sorted membership, the set records which jobs were
-/// inserted and removed since the last [`PendingSet::clear_delta`]. The
-/// engine clears the delta after every *invoked* `decide`, so a policy
-/// that keeps its own priority structure (e.g. SSF-EDF's `(deadline, id)`
-/// order) can update it from [`PendingSet::delta_inserted`] /
-/// [`PendingSet::delta_removed`] instead of rebuilding and re-sorting
-/// from the full membership at every event. When the engine skips decides
-/// (decision-epoch gating), the delta accumulates across the skipped
-/// events and the policy still observes every membership change exactly
-/// once.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PendingSet {
     /// Sorted ascending; `Time` is the job's release date.
     entries: Vec<(Time, JobId)>,
-    /// Jobs inserted since the last `clear_delta`, in insertion order.
-    inserted: Vec<JobId>,
-    /// Jobs removed since the last `clear_delta`, in removal order.
-    removed: Vec<JobId>,
-}
-
-/// Equality is membership-only: two sets with the same entries compare
-/// equal even when their (transient) deltas differ.
-impl PartialEq for PendingSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
-    }
 }
 
 impl PendingSet {
@@ -105,23 +84,11 @@ impl PendingSet {
         set
     }
 
-    /// Like [`PendingSet::from_states`], scanning a [`JobArena`].
-    pub fn from_arena(instance: &Instance, jobs: &JobArena) -> Self {
-        let mut set = PendingSet::new();
-        for i in 0..jobs.len() {
-            if jobs.active(i) {
-                set.insert(instance.job(JobId(i)).release, JobId(i));
-            }
-        }
-        set
-    }
-
     /// Inserts a job (keyed by its release date). No-op if already present.
     pub fn insert(&mut self, release: Time, id: JobId) {
         let key = (release, id);
         if let Err(pos) = self.entries.binary_search(&key) {
             self.entries.insert(pos, key);
-            self.inserted.push(id);
         }
     }
 
@@ -129,34 +96,7 @@ impl PendingSet {
     pub fn remove(&mut self, release: Time, id: JobId) {
         if let Ok(pos) = self.entries.binary_search(&(release, id)) {
             self.entries.remove(pos);
-            self.removed.push(id);
         }
-    }
-
-    /// Removes every entry (and forgets the delta).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.clear_delta();
-    }
-
-    /// Jobs inserted since the last [`PendingSet::clear_delta`], in
-    /// insertion order.
-    pub fn delta_inserted(&self) -> &[JobId] {
-        &self.inserted
-    }
-
-    /// Jobs removed since the last [`PendingSet::clear_delta`], in removal
-    /// order.
-    pub fn delta_removed(&self) -> &[JobId] {
-        &self.removed
-    }
-
-    /// Forgets the recorded membership delta. The engine calls this after
-    /// every invoked `decide`, so the delta a policy observes is exactly
-    /// the membership change since the last time it was asked to decide.
-    pub fn clear_delta(&mut self) {
-        self.inserted.clear();
-        self.removed.clear();
     }
 
     /// Number of pending jobs.
@@ -169,11 +109,6 @@ impl PendingSet {
         self.entries.is_empty()
     }
 
-    /// True when `id` (released at `release`) is in the set.
-    pub fn contains(&self, release: Time, id: JobId) -> bool {
-        self.entries.binary_search(&(release, id)).is_ok()
-    }
-
     /// Pending jobs in `(release, id)` order.
     pub fn iter(&self) -> impl Iterator<Item = JobId> + '_ {
         self.entries.iter().map(|&(_, id)| id)
@@ -182,8 +117,8 @@ impl PendingSet {
 
 /// Read-only view handed to [`crate::engine::OnlineScheduler::decide`].
 pub struct SimView<'a> {
-    /// The instance being simulated (jobs; its frozen spec is shadowed by
-    /// the attached [`PlatformState`]'s spec when the platform mutated).
+    /// The instance being simulated (its jobs; the platform is read from
+    /// [`SimView::spec`], which tracks every committed mutation).
     instance: &'a Instance,
     /// Current virtual time.
     pub now: Time,
@@ -191,81 +126,32 @@ pub struct SimView<'a> {
     pub jobs: &'a JobArena,
     /// Released, unfinished jobs (incrementally maintained by the engine).
     pub pending: &'a PendingSet,
-    /// Current unit/link availability (membership tombstones composed
-    /// with fault windows); `None` (the static fast path) means
-    /// everything is up.
+    /// The composed availability overlay of `platform`; `None` (the
+    /// static fast path) means everything is up.
     availability: Option<&'a Availability>,
-    /// The versioned platform runtime, when the engine attached one;
-    /// `None` for ad-hoc views built outside the engine loop.
-    platform: Option<&'a PlatformState>,
-    /// Engine decision epoch (see [`SimView::decision_epoch`]); 0 for
-    /// ad-hoc views built outside the engine loop.
-    epoch: u64,
+    /// The versioned platform runtime.
+    platform: &'a PlatformState,
 }
 
 impl<'a> SimView<'a> {
-    /// Builds a view (fault-free: every unit reported up).
+    /// Builds a view of `platform` at time `now`. The view reports the
+    /// platform's current spec, its composed availability overlay, and its
+    /// [version](SimView::platform_version).
     pub fn new(
         instance: &'a Instance,
         now: Time,
         jobs: &'a JobArena,
         pending: &'a PendingSet,
+        platform: &'a PlatformState,
     ) -> Self {
         SimView {
             instance,
             now,
             jobs,
             pending,
-            availability: None,
-            platform: None,
-            epoch: 0,
+            availability: platform.overlay(),
+            platform,
         }
-    }
-
-    /// Attaches the current availability state (builder style; used by
-    /// ad-hoc views and tests — the engine attaches a whole
-    /// [`PlatformState`] via [`SimView::with_platform`] instead).
-    pub fn with_availability(mut self, availability: &'a Availability) -> Self {
-        self.availability = Some(availability);
-        self
-    }
-
-    /// Attaches the engine's versioned platform runtime (builder style).
-    /// The view then reports the platform's current spec (shadowing the
-    /// instance's frozen one), its composed availability overlay, and its
-    /// [version](SimView::platform_version).
-    pub fn with_platform(mut self, platform: &'a PlatformState) -> Self {
-        self.availability = platform.overlay();
-        self.platform = Some(platform);
-        self
-    }
-
-    /// Attaches the engine's decision epoch (builder style).
-    pub fn with_epoch(mut self, epoch: u64) -> Self {
-        self.epoch = epoch;
-        self
-    }
-
-    /// The engine's decision epoch: a counter bumped only by transitions
-    /// that can change a scheduling decision (job release, job completion,
-    /// availability change, directive invalidation). Two views with the
-    /// same epoch present the same decision-relevant state; policies and
-    /// tests may use it to detect that nothing changed since the last
-    /// decide.
-    pub fn decision_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Jobs inserted into the pending set since the last invoked decide
-    /// (see [`PendingSet::delta_inserted`]).
-    pub fn delta_inserted(&self) -> &'a [JobId] {
-        self.pending.delta_inserted()
-    }
-
-    /// Jobs removed from the pending set since the last invoked decide
-    /// (see [`PendingSet::delta_removed`]).
-    pub fn delta_removed(&self) -> &'a [JobId] {
-        self.pending.delta_removed()
     }
 
     /// True when edge `j`'s computing unit is currently up.
@@ -297,33 +183,22 @@ impl<'a> SimView<'a> {
     }
 
     /// The platform version this view describes: bumped by every
-    /// committed permanent platform mutation, `0` for ad-hoc views with
-    /// no attached [`PlatformState`]. Policies caching platform-shaped
-    /// state (speed classes, projections, deadline tables) compare this
-    /// against the version they built for and rebuild on mismatch.
+    /// committed permanent platform mutation. Policies caching
+    /// platform-shaped state (speed classes, projections, deadline tables)
+    /// compare this against the version they built for and rebuild on
+    /// mismatch.
     pub fn platform_version(&self) -> u64 {
-        self.platform.map_or(0, |p| p.version())
+        self.platform.version()
     }
 
-    /// The platform, as of this view's [version](SimView::platform_version)
-    /// (the instance's frozen spec when no platform is attached).
+    /// The platform, as of this view's [version](SimView::platform_version).
     pub fn spec(&self) -> &'a PlatformSpec {
-        match self.platform {
-            Some(p) => p.spec(),
-            None => &self.instance.spec,
-        }
+        self.platform.spec()
     }
 
     /// The static description of job `id`.
     pub fn job(&self, id: JobId) -> &'a Job {
         self.instance.job(id)
-    }
-
-    /// The dynamic state of job `id`, gathered into an AoS snapshot.
-    /// Convenient off the hot path; hot loops should index the
-    /// [`JobArena`] columns directly instead.
-    pub fn state(&self, id: JobId) -> JobState {
-        self.jobs.snapshot(id.0)
     }
 
     /// Jobs that are released and unfinished, in `(release, id)` order
@@ -372,7 +247,7 @@ impl<'a> SimView<'a> {
     pub fn best_duration(&self, id: JobId) -> f64 {
         let mut best = self.duration_if_placed(id, Target::Edge);
         for k in self.spec().clouds() {
-            if self.platform.map_or(true, |p| p.cloud_live(k)) {
+            if self.platform.cloud_live(k) {
                 best = best.min(self.duration_if_placed(id, Target::Cloud(k)));
             }
         }
@@ -386,13 +261,6 @@ impl<'a> SimView<'a> {
         let job = self.job(id);
         (self.now + Time::new(self.best_duration(id)) - job.release).seconds()
             / self.jobs.min_time[id.0]
-    }
-
-    /// Remaining local processing time of job `id` on its origin edge unit
-    /// (seconds), assuming same-commitment progress.
-    pub fn remaining_on_edge(&self, id: JobId) -> f64 {
-        let job = self.job(id);
-        self.jobs.remaining_work(id.0, job) / self.spec().edge_speed(job.origin)
     }
 }
 
@@ -425,65 +293,22 @@ mod tests {
             vec![JobId(9), JobId(1), JobId(5)]
         );
         assert_eq!(set.len(), 3);
-        assert!(set.contains(Time::new(1.0), JobId(9)));
         // Double insert is a no-op.
         set.insert(Time::new(1.0), JobId(9));
         assert_eq!(set.len(), 3);
         set.remove(Time::new(2.0), JobId(1));
-        assert!(!set.contains(Time::new(2.0), JobId(1)));
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![JobId(9), JobId(5)]);
         // Removing an absent entry is a no-op.
         set.remove(Time::new(7.0), JobId(3));
         assert_eq!(set.len(), 2);
-        set.clear();
-        assert!(set.is_empty());
-    }
-
-    #[test]
-    fn delta_tracks_membership_changes_between_clears() {
-        let mut set = PendingSet::new();
-        set.insert(Time::new(1.0), JobId(4));
-        set.insert(Time::new(2.0), JobId(7));
-        assert_eq!(set.delta_inserted(), &[JobId(4), JobId(7)]);
-        assert!(set.delta_removed().is_empty());
-        // No-op insert/remove leave the delta alone.
-        set.insert(Time::new(1.0), JobId(4));
-        set.remove(Time::new(9.0), JobId(1));
-        assert_eq!(set.delta_inserted(), &[JobId(4), JobId(7)]);
-        assert!(set.delta_removed().is_empty());
-
-        set.clear_delta();
-        assert!(set.delta_inserted().is_empty());
-        set.remove(Time::new(2.0), JobId(7));
-        assert_eq!(set.delta_removed(), &[JobId(7)]);
-        assert_eq!(set.iter().collect::<Vec<_>>(), vec![JobId(4)]);
-
-        // Equality ignores the delta: same membership, different history.
+        // Equality is membership: the same entries, however they got there.
         let mut other = PendingSet::new();
-        other.insert(Time::new(1.0), JobId(4));
-        other.clear_delta();
+        other.insert(Time::new(2.0), JobId(5));
+        other.insert(Time::new(1.0), JobId(9));
         assert_eq!(set, other);
-
-        set.clear();
-        assert!(set.delta_removed().is_empty() && set.delta_inserted().is_empty());
-    }
-
-    #[test]
-    fn view_exposes_epoch_and_delta() {
-        let (inst, states) = fixture();
-        let arena = JobArena::from_states(&inst, &states);
-        let mut pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
-        assert_eq!(view.decision_epoch(), 0);
-        {
-            let view = SimView::new(&inst, Time::ZERO, &arena, &pending).with_epoch(17);
-            assert_eq!(view.decision_epoch(), 17);
-            assert_eq!(view.delta_inserted(), &[JobId(0)]);
-            assert!(view.delta_removed().is_empty());
-        }
-        pending.clear_delta();
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
-        assert!(view.delta_inserted().is_empty());
+        set.remove(Time::new(1.0), JobId(9));
+        set.remove(Time::new(2.0), JobId(5));
+        assert!(set.is_empty());
     }
 
     #[test]
@@ -506,9 +331,10 @@ mod tests {
         let set = PendingSet::from_states(&inst, &states);
         // Release order: job 1 (r=1) before job 0 (r=3).
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![JobId(1), JobId(0)]);
-        // The arena scan agrees with the snapshot scan.
+        // The arena built from the same records agrees on who is active.
         let arena = JobArena::from_states(&inst, &states);
-        assert_eq!(PendingSet::from_arena(&inst, &arena), set);
+        let active: Vec<usize> = (0..arena.len()).filter(|&i| arena.active(i)).collect();
+        assert_eq!(active, vec![0, 1]);
     }
 
     #[test]
@@ -516,7 +342,8 @@ mod tests {
         let (inst, states) = fixture();
         let arena = JobArena::from_states(&inst, &states);
         let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::new(2.0), &arena, &pending);
+        let platform = PlatformState::new(inst.spec.clone());
+        let view = SimView::new(&inst, Time::new(2.0), &arena, &pending, &platform);
         assert_eq!(view.num_pending(), 1);
         assert_eq!(view.pending_jobs().collect::<Vec<_>>(), vec![JobId(0)]);
         // min_time = min(8, 7) = 7; completed at 8 → stretch (8-1)/7 = 1.
@@ -531,16 +358,17 @@ mod tests {
         let (inst, states) = fixture();
         let arena = JobArena::from_states(&inst, &states);
         let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending);
+        let mut platform = PlatformState::new(inst.spec.clone());
+        let view = SimView::new(&inst, Time::ZERO, &arena, &pending, &platform);
         assert!(view.edge_available(EdgeId(0)));
         assert!(view.cloud_available(CloudId(1)));
         assert_eq!(view.link_factor(EdgeId(0)), 1.0);
 
-        let mut avail = Availability::all_up(1, 2);
-        avail.cloud_up[0] = false;
-        avail.edge_up[0] = false;
-        avail.link_factor[0] = 0.25;
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending).with_availability(&avail);
+        platform.mark_dynamic();
+        platform.fault_cloud_down(CloudId(0));
+        platform.fault_edge_down(EdgeId(0));
+        assert!(platform.fault_set_link(EdgeId(0), 0.25));
+        let view = SimView::new(&inst, Time::ZERO, &arena, &pending, &platform);
         assert!(!view.edge_available(EdgeId(0)));
         assert!(!view.cloud_available(CloudId(0)));
         assert!(view.cloud_available(CloudId(1)));
@@ -557,7 +385,8 @@ mod tests {
         states[0].up_done = 1.5;
         let arena = JobArena::from_states(&inst, &states);
         let pending = PendingSet::from_states(&inst, &states);
-        let view = SimView::new(&inst, Time::new(4.0), &arena, &pending);
+        let platform = PlatformState::new(inst.spec.clone());
+        let view = SimView::new(&inst, Time::new(4.0), &arena, &pending, &platform);
         // Continue on cloud 0: 0.5 up + 4 work + 1 dn = 5.5.
         assert_eq!(
             view.duration_if_placed(JobId(0), Target::Cloud(CloudId(0))),
@@ -573,7 +402,11 @@ mod tests {
         // Forced stretch at now=4: (4 + 5.5 − 1) / 7.
         assert!((view.forced_stretch(JobId(0)) - 8.5 / 7.0).abs() < 1e-12);
         // Remaining on edge: 4 work / 0.5 speed.
-        assert_eq!(view.remaining_on_edge(JobId(0)), 8.0);
+        assert_eq!(
+            view.jobs
+                .remaining_time_on(0, view.job(JobId(0)), Target::Edge, view.spec()),
+            8.0
+        );
     }
 
     #[test]
@@ -587,8 +420,8 @@ mod tests {
         let fast = left.add_cloud(4.0).unwrap();
         left.remove_cloud(fast).unwrap();
         let now = Time::new(2.0);
-        let twin = SimView::new(&inst, now, &arena, &pending).with_platform(&never);
-        let view = SimView::new(&inst, now, &arena, &pending).with_platform(&left);
+        let twin = SimView::new(&inst, now, &arena, &pending, &never);
+        let view = SimView::new(&inst, now, &arena, &pending, &left);
         assert_eq!(twin.best_duration(JobId(0)), 7.0);
         assert_eq!(view.best_duration(JobId(0)), twin.best_duration(JobId(0)));
         assert_eq!(

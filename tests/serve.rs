@@ -327,6 +327,42 @@ fn platform_records_mutate_the_session_mid_stream() {
 }
 
 #[test]
+fn edge_only_recomputes_deadlines_after_an_edge_speed_change() {
+    // Edge-Only caches each job's deadline under the platform version it
+    // was computed for. At t = 0 edge 0 (speed 1) orders job 0 (work 2,
+    // whose cloud alternative of 22 s makes its stretch denominator 2)
+    // before job 1 (work 3). Job 2 releases on edge 1 at t = 0.5, so the
+    // decide there sees edge 0 already slowed to 0.25: edge 0 has no new
+    // release, and only the version bump makes it recompute. Under the
+    // new speed, stretch-so-far puts job 1 first (done at 0.5 + 12 =
+    // 12.5) and job 0 last (12.5 + 1.5 / 0.25 = 18.5). Keeping the stale
+    // order would finish job 0 at 0.5 + 1.5 / 0.25 = 6.5 instead.
+    let spec = PlatformSpec::builder()
+        .edges(vec![1.0, 1.0])
+        .cloud_pool(1)
+        .build();
+    let inst = Instance::new(spec, vec![]).unwrap();
+    let input = r#"
+{"origin": 0, "release": 0, "work": 2, "up": 10, "dn": 10}
+{"origin": 0, "release": 0, "work": 3}
+{"origin": 1, "release": 0.5, "work": 1}
+{"type": "platform", "op": "set-edge-speed", "unit": 0, "speed": 0.25}
+"#;
+    let cfg = ServeConfig {
+        policy: PolicyKind::EdgeOnly,
+        heartbeat: 100.0,
+        ..ServeConfig::default()
+    };
+    let recs = serve_lines(&inst, &cfg, input);
+    let done: Vec<(f64, f64)> = recs
+        .iter()
+        .filter(|r| kind_of(r) == "completion")
+        .map(|r| (num(r, "job"), num(r, "completion")))
+        .collect();
+    assert_eq!(done, vec![(2.0, 1.5), (1.0, 12.5), (0.0, 18.5)]);
+}
+
+#[test]
 fn malformed_platform_records_are_rejected_not_fatal() {
     let inst = platform();
     // Unknown op, unknown unit, remove-twice, negative speed, missing
