@@ -39,7 +39,7 @@ fn usage() -> ! {
          mmsec trace export --instance FILE [--out FILE.ndjson]\n  \
          mmsec trace import [--trace FILE.ndjson] [--out FILE]\n  \
          mmsec serve --instance FILE [--policy NAME] [--seed N] [--input FILE]\n    \
-         [--speedup X] [--max-pending N] [--heartbeat SECS] [--stats-every N]\n    \
+         [--max-pending N] [--heartbeat SECS] [--stats-every N]\n    \
          [--trace FILE.json] [--metrics FILE.json]\n  \
          mmsec serve --instance FILE [--listen unix:PATH|tcp:ADDR] [--shards N]\n    \
          [--max-queue N] [--global-pending N] [--server-heartbeat-ms N] [--once]\n    \
@@ -463,7 +463,6 @@ fn main() {
                     "policy",
                     "seed",
                     "input",
-                    "speedup",
                     "max-pending",
                     "heartbeat",
                     "stats-every",
@@ -489,13 +488,9 @@ fn main() {
                 max_pending: flags
                     .contains_key("max-pending")
                     .then(|| get(&flags, "max-pending", 0usize)),
-                speedup: flags
-                    .contains_key("speedup")
-                    .then(|| get(&flags, "speedup", 1.0)),
                 stats_every: flags
                     .contains_key("stats-every")
                     .then(|| get(&flags, "stats-every", 0usize)),
-                ..ServeConfig::default()
             };
 
             // Any sharded-server flag selects the sharded runtime; with
@@ -505,7 +500,7 @@ fn main() {
                 .any(|k| flags.contains_key(*k))
                 || flags.contains_key("server-heartbeat-ms");
             if sharded {
-                for bad in ["input", "speedup", "trace", "metrics"] {
+                for bad in ["input", "trace", "metrics"] {
                     if flags.contains_key(bad) {
                         fail(CliError::Usage(format!(
                             "--{bad} applies to single-session serving, \

@@ -23,9 +23,8 @@
 //! / `reject` for each input line (`platform-ok` for an applied
 //! mutation), `completion` per finished job with its stretch, periodic
 //! `heartbeat` snapshots (schema v4: queue depths, decide counters,
-//! per-interval deltas, platform version, live unit counts, tier-graph
-//! shape, and — under `--speedup` — the wall-vs-virtual lag) at a fixed
-//! virtual-time
+//! per-interval deltas, platform version, live unit counts, and
+//! tier-graph shape) at a fixed virtual-time
 //! cadence, optional `stats` records every `--stats-every N` input
 //! lines, and one final `summary`. Heartbeat timestamps are strictly
 //! monotone, and their payload always reflects the state *after* the
@@ -49,8 +48,7 @@
 //! failure message names the file.
 //!
 //! The core ([`serve`]) is generic over reader/writer so tests can run it
-//! in memory; the binary hands it stdin/stdout (or `--input FILE`,
-//! replayed in wall time with `--speedup`).
+//! in memory; the binary hands it stdin/stdout (or `--input FILE`).
 //!
 //! # Lanes
 //!
@@ -66,8 +64,8 @@ use crate::ndjson::{parse_object_into, ObjBuf, ObjWriter, Value};
 use mmsec_core::PolicyKind;
 use mmsec_platform::obs::{Event as ObsEvent, FlightRecorder, ObserverHandle, Shared};
 use mmsec_platform::{
-    CloudId, EdgeId, EngineOptions, Instance, Job, Observer, PlatformMutation, Session,
-    SessionStatus, Simulation,
+    CloudId, EdgeId, Instance, Job, JobId, Observer, PlatformMutation, Session, SessionStatus,
+    Simulation,
 };
 use mmsec_sim::Time;
 use std::io::{BufRead, Write};
@@ -79,25 +77,21 @@ use std::io::{BufRead, Write};
 pub const STATS_SCHEMA_VERSION: u32 = 4;
 
 /// Ring capacity of the serve loop's internal flight recorder.
-pub(crate) const FLIGHT_CAPACITY: usize = 512;
+const FLIGHT_CAPACITY: usize = 512;
 
-/// Serving-loop knobs (the binary fills these from flags).
+/// Serving-loop knobs (the binary fills these from flags). Lanes run the
+/// engine's default options: the paper's model.
+#[derive(Clone, Copy)]
 pub struct ServeConfig {
     /// Scheduling policy.
     pub policy: PolicyKind,
     /// Seed for seeded policies.
     pub seed: u64,
-    /// Engine options.
-    pub engine: EngineOptions,
     /// Emit a `heartbeat` record every this many virtual seconds.
     pub heartbeat: f64,
     /// Bounded admission: shed submissions that would push the number of
     /// unfinished jobs beyond this. `None` = unbounded.
     pub max_pending: Option<usize>,
-    /// Wall-clock pacing for file replay: sleep `(Δrelease)/speedup`
-    /// between arrivals. `None` = as fast as possible (the only mode used
-    /// in tests and CI).
-    pub speedup: Option<f64>,
     /// Emit a `stats` record every this many input lines (`None` = no
     /// dedicated stats stream; heartbeats still carry the full payload).
     pub stats_every: Option<usize>,
@@ -108,25 +102,20 @@ impl Default for ServeConfig {
         ServeConfig {
             policy: PolicyKind::SsfEdf,
             seed: 0,
-            engine: EngineOptions::default(),
             heartbeat: 10.0,
             max_pending: None,
-            speedup: None,
             stats_every: None,
         }
     }
 }
 
-/// Validates the cadence/pacing knobs shared by [`serve`] and the
-/// sharded server (which applies them per lane).
+/// Validates the cadence knobs shared by [`serve`] and the sharded
+/// server (which applies them per lane).
 pub(crate) fn validate_config(cfg: &ServeConfig) -> Result<(), CliError> {
     if !(cfg.heartbeat > 0.0 && cfg.heartbeat.is_finite()) {
         return Err(CliError::Usage(
             "--heartbeat must be positive seconds".into(),
         ));
-    }
-    if cfg.speedup.is_some_and(|x| x <= 0.0 || x.is_nan()) {
-        return Err(CliError::Usage("--speedup must be positive".into()));
     }
     if cfg.stats_every == Some(0) {
         return Err(CliError::Usage(
@@ -411,6 +400,32 @@ fn parse_platform(fields: &[(String, Value)]) -> Result<PlatformMutation, Reject
     })
 }
 
+/// One parsed input line.
+enum Request {
+    Platform(PlatformMutation),
+    Submit(SubmitRequest),
+}
+
+/// Parses one input line into the request it carries, or the typed
+/// [`Reject`] for its protocol violation. Both record kinds read the same
+/// field buffer.
+fn parse_line(line: &str, fields: &mut ObjBuf) -> Result<Request, Reject> {
+    parse_object_into(line, fields).map_err(|why| Reject::bare("parse-error", why.0))?;
+    if is_platform_record(fields.fields()) {
+        parse_platform(fields.fields()).map(Request::Platform)
+    } else {
+        parse_submit(fields.fields()).map(Request::Submit)
+    }
+}
+
+/// The one acknowledgement each non-blank input line gets.
+enum Ack {
+    Admit { job: JobId, release: f64 },
+    Shed { unfinished: usize },
+    PlatformOk { op: &'static str, version: u64 },
+    Reject(Reject),
+}
+
 fn write_line(out: &mut impl Write, line: &str) -> Result<(), CliError> {
     writeln!(out, "{line}").map_err(|e| CliError::Io(format!("output stream: {e}")))
 }
@@ -460,8 +475,6 @@ struct Pulse {
     stats_every: Option<usize>,
     last_beat: Deltas,
     last_stats: Deltas,
-    wall_start: std::time::Instant,
-    speedup: Option<f64>,
     flight: Shared<FlightRecorder>,
     /// Tenant tag injected into every record of this lane (see
     /// [`reset_rec`]); `None` for a plain single-session serve.
@@ -469,13 +482,6 @@ struct Pulse {
 }
 
 impl Pulse {
-    /// Wall-vs-virtual lag in virtual seconds (how far the session is
-    /// behind the replay clock). Only meaningful under `--speedup`.
-    fn lag(&self, session: &Session<'_>) -> Option<f64> {
-        self.speedup
-            .map(|sp| self.wall_start.elapsed().as_secs_f64() * sp - session.now().seconds())
-    }
-
     /// Wraps an engine failure, dumping the flight ring alongside it.
     fn engine_failure(&self, msg: String) -> CliError {
         match self.flight.with(|f| f.dump("serve")) {
@@ -488,15 +494,14 @@ impl Pulse {
 }
 
 /// Writes the shared stats payload (schema v4) into `w`: queue depths,
-/// decide counters, admission totals, per-interval deltas, platform
-/// shape (including tier-graph fields), and the optional replay lag.
-/// Updates `last` to the current totals.
+/// decide counters, admission totals, per-interval deltas, and platform
+/// shape (including tier-graph fields). Updates `last` to the current
+/// totals.
 fn stats_payload(
     w: &mut ObjWriter,
     session: &Session<'_>,
     summary: &ServeSummary,
     last: &mut Deltas,
-    lag: Option<f64>,
 ) {
     let s = session.snapshot();
     w.num_field("now", s.now.seconds())
@@ -543,157 +548,11 @@ fn stats_payload(
             "completed_delta",
             s.completed.saturating_sub(last.completed) as f64,
         );
-    if let Some(lag) = lag {
-        w.num_field("lag", lag);
-    }
     *last = Deltas {
         admitted: summary.admitted,
         shed: summary.shed,
         completed: s.completed,
     };
-}
-
-/// Drains finished jobs into `completion` records. Uses
-/// [`Session::drain_completions`] and a reused [`ObjWriter`], so the
-/// steady-state emit path allocates nothing. The per-record `target`
-/// string goes through a small reused scratch buffer for the same
-/// reason.
-fn emit_completions(
-    session: &mut Session<'_>,
-    out: &mut impl Write,
-    summary: &mut ServeSummary,
-    w: &mut ObjWriter,
-    scratch: &mut String,
-    tenant: Option<&str>,
-) -> Result<(), CliError> {
-    use std::fmt::Write as _;
-    for c in session.drain_completions() {
-        summary.completed += 1;
-        summary.max_stretch = summary.max_stretch.max(c.stretch);
-        scratch.clear();
-        let _ = write!(scratch, "{}", c.target);
-        reset_rec(w, "completion", tenant);
-        w.num_field("job", c.job.0 as f64)
-            .str_field("target", scratch)
-            .num_field("release", c.release.seconds())
-            .num_field("completion", c.completion.seconds())
-            .num_field("response", c.response())
-            .num_field("stretch", c.stretch);
-        write_line(out, w.close())?;
-    }
-    Ok(())
-}
-
-fn heartbeat_record<'w>(
-    session: &Session<'_>,
-    summary: &ServeSummary,
-    pulse: &mut Pulse,
-    w: &'w mut ObjWriter,
-) -> &'w str {
-    reset_rec(w, "heartbeat", pulse.tenant.as_deref());
-    w.num_field("v", STATS_SCHEMA_VERSION as f64);
-    let lag = pulse.lag(session);
-    stats_payload(w, session, summary, &mut pulse.last_beat, lag);
-    w.close()
-}
-
-fn stats_record<'w>(
-    session: &Session<'_>,
-    summary: &ServeSummary,
-    pulse: &mut Pulse,
-    line: usize,
-    w: &'w mut ObjWriter,
-) -> &'w str {
-    reset_rec(w, "stats", pulse.tenant.as_deref());
-    w.num_field("v", STATS_SCHEMA_VERSION as f64)
-        .num_field("line", line as f64);
-    let lag = pulse.lag(session);
-    stats_payload(w, session, summary, &mut pulse.last_stats, lag);
-    w.close()
-}
-
-/// Emits a `stats` record if `line` falls on the `--stats-every` cadence.
-fn maybe_stats(
-    session: &Session<'_>,
-    summary: &ServeSummary,
-    pulse: &mut Pulse,
-    line: usize,
-    out: &mut impl Write,
-    w: &mut ObjWriter,
-) -> Result<(), CliError> {
-    if pulse.stats_every.is_some_and(|n| line % n == 0) {
-        let record = stats_record(session, summary, pulse, line, w);
-        write_line(out, record)?;
-    }
-    Ok(())
-}
-
-/// Advances the session to virtual time `target`, emitting a heartbeat at
-/// every multiple of the heartbeat interval crossed on the way. Keeps
-/// heartbeat timestamps strictly monotone regardless of arrival pattern.
-///
-/// An *unstarted* session (no release has fired yet — possible when every
-/// job so far was admitted for a future release) needs special care: its
-/// clock has not begun, so no heartbeat may be emitted, and pausing it at
-/// a boundary before its first event is a no-op that would loop forever.
-/// The first stop is therefore pushed out to the session's first queued
-/// event; if even that lies beyond `target`, nothing can happen yet.
-fn advance_to(
-    session: &mut Session<'_>,
-    target: Time,
-    pulse: &mut Pulse,
-    out: &mut impl Write,
-    summary: &mut ServeSummary,
-    w: &mut ObjWriter,
-    scratch: &mut String,
-) -> Result<(), CliError> {
-    loop {
-        let mut stop = if pulse.next_beat < target.seconds() {
-            Time::new(pulse.next_beat)
-        } else {
-            target
-        };
-        if !session.started() {
-            if let Some(t0) = session.next_event_time() {
-                if t0 > stop {
-                    stop = t0.min(target);
-                }
-            }
-        }
-        let status = session
-            .run_until(stop)
-            .map_err(|e| pulse.engine_failure(format!("engine: {e}")))?;
-        emit_completions(session, out, summary, w, scratch, pulse.tenant.as_deref())?;
-        match status {
-            // Blocked: only a later submission can unblock — hand control
-            // back. Done: an idle session needs no heartbeats.
-            SessionStatus::Blocked | SessionStatus::Done => return Ok(()),
-            SessionStatus::Reached | SessionStatus::Advanced => {}
-        }
-        if !session.started() {
-            // Reached without starting: the session's first event lies
-            // beyond `target`, so time has not begun — no boundary was
-            // crossed and nothing can fire before the next arrival.
-            return Ok(());
-        }
-        // Paused at (or past) `stop`: beat if a heartbeat boundary was
-        // crossed, then continue toward `target`. A session whose next
-        // event lies beyond several boundaries pauses past them all at
-        // once — snap the cadence past `now` so one post-advance payload
-        // covers the crossing (repeating it per boundary would duplicate
-        // timestamps and re-report state from before the advance).
-        if pulse.next_beat <= session.now().seconds() {
-            let record = heartbeat_record(session, summary, pulse, w);
-            write_line(out, record)?;
-            pulse.next_beat += pulse.beat;
-            while pulse.next_beat <= session.now().seconds() {
-                pulse.next_beat += pulse.beat;
-            }
-        }
-        if session.now() >= target {
-            return Ok(());
-        }
-    }
 }
 
 /// One serving loop: a session plus its cadence state, admission
@@ -718,15 +577,27 @@ pub(crate) struct Lane<'a> {
 }
 
 impl<'a> Lane<'a> {
-    /// Wraps a freshly built (unstepped) session. `tenant` tags every
-    /// record when set. The caller is responsible for having validated
-    /// `cfg` (see [`validate_config`]).
-    fn new(
-        session: Session<'a>,
+    /// Builds a lane over a fresh session of `sim`
+    /// ([`Simulation::owning`] gives a lane that borrows nothing, as a
+    /// shard worker's lane map needs): the configured policy, the lane's
+    /// flight recorder and, when given, `observer` watch every engine
+    /// event. `tenant` tags every record when set. The caller is
+    /// responsible for having validated `cfg` (see [`validate_config`]).
+    pub(crate) fn new<'o: 'a>(
+        sim: Simulation<'a>,
         cfg: &ServeConfig,
         tenant: Option<String>,
-        flight: Shared<FlightRecorder>,
+        observer: Option<&'o mut dyn Observer>,
     ) -> Self {
+        let flight = Shared::new(FlightRecorder::with_capacity(FLIGHT_CAPACITY));
+        let tandem = Tandem {
+            flight: flight.handle(),
+            other: observer,
+        };
+        let session = sim
+            .policy_boxed(cfg.policy.build(cfg.seed))
+            .observer_boxed(Box::new(tandem))
+            .session();
         let summary = ServeSummary {
             admitted: session.instance().num_jobs(),
             ..ServeSummary::default()
@@ -739,8 +610,6 @@ impl<'a> Lane<'a> {
                 stats_every: cfg.stats_every,
                 last_beat: Deltas::default(),
                 last_stats: Deltas::default(),
-                wall_start: std::time::Instant::now(),
-                speedup: cfg.speedup,
                 flight,
                 tenant,
             },
@@ -782,240 +651,212 @@ impl<'a> Lane<'a> {
     }
 
     /// Feeds one input line: parses it, advances the session to the
-    /// arrival, applies admission control, and writes the response
-    /// records. Protocol violations become `reject` records; only engine
-    /// failures and output I/O errors are fatal.
+    /// arrival, applies admission control, writes the line's one ack
+    /// (`admit`, `shed`, `platform-ok` or `reject`), then a `stats` record
+    /// when the line falls on the `--stats-every` cadence. Protocol
+    /// violations and refused mutations or submissions become `reject`
+    /// records; only engine failures and output I/O errors are fatal.
     pub(crate) fn handle_line(&mut self, line: &str, out: &mut impl Write) -> Result<(), CliError> {
         if line.trim().is_empty() {
             return Ok(());
         }
         self.summary.lines += 1;
         let seq = self.summary.lines;
-
-        // Parse the line once; both record kinds (platform mutation and
-        // job submission) read the same field buffer. Malformed records
-        // and refused mutations (unknown unit, removed twice, bad speed,
-        // last edge) produce typed `reject` records — never a fatal
-        // error.
-        let parsed = parse_object_into(line.trim_end(), &mut self.fields);
-        if parsed.is_ok() && is_platform_record(self.fields.fields()) {
-            let outcome = parse_platform(self.fields.fields()).and_then(|m| {
-                self.session
-                    .apply_platform(m)
-                    // A mutation the runtime refused: the offending field
-                    // is the op itself; the code is the runtime's stable
-                    // error class.
-                    .map_err(|e| Reject::new(e.code(), "op", e.to_string()))
-                    .map(|v| (m, v))
-            });
-            match outcome {
-                Ok((m, version)) => {
-                    let p = self.session.platform();
-                    let (edges, clouds) = (p.num_edges_live(), p.num_clouds_live());
-                    reset_rec(&mut self.w, "platform-ok", self.pulse.tenant.as_deref())
-                        .num_field("line", seq as f64)
-                        .str_field("op", m.op())
-                        .num_field("version", version as f64)
-                        .num_field("edges", edges as f64)
-                        .num_field("clouds", clouds as f64);
-                    write_line(out, self.w.close())?;
-                }
-                Err(why) => {
-                    self.summary.rejected += 1;
-                    let w = reset_rec(&mut self.w, "reject", self.pulse.tenant.as_deref());
-                    w.num_field("line", seq as f64);
-                    why.write_into(w);
-                    write_line(out, self.w.close())?;
-                }
-            }
-            maybe_stats(
-                &self.session,
-                &self.summary,
-                &mut self.pulse,
-                seq,
-                out,
-                &mut self.w,
-            )?;
-            return Ok(());
-        }
-
-        let req = match parsed
-            .map_err(|why| Reject::bare("parse-error", why.0))
-            .and_then(|()| parse_submit(self.fields.fields()))
-        {
-            Ok(req) => req,
-            Err(why) => {
-                self.summary.rejected += 1;
-                let w = reset_rec(&mut self.w, "reject", self.pulse.tenant.as_deref());
-                w.num_field("line", seq as f64);
-                why.write_into(w);
-                write_line(out, self.w.close())?;
-                maybe_stats(
-                    &self.session,
-                    &self.summary,
-                    &mut self.pulse,
-                    seq,
-                    out,
-                    &mut self.w,
-                )?;
-                return Ok(());
-            }
+        let ack = match parse_line(line.trim_end(), &mut self.fields) {
+            // A mutation the runtime refused (unknown unit, removed twice,
+            // bad speed, last edge): the offending field is the op itself;
+            // the code is the runtime's stable error class.
+            Ok(Request::Platform(m)) => match self.session.apply_platform(m) {
+                Ok(version) => Ack::PlatformOk {
+                    op: m.op(),
+                    version,
+                },
+                Err(e) => Ack::Reject(Reject::new(e.code(), "op", e.to_string())),
+            },
+            Ok(Request::Submit(req)) => self.submit(req, out)?,
+            Err(why) => Ack::Reject(why),
         };
 
-        // Bring virtual time up to the arrival (file replay of a
-        // historical trace), beating on the way.
-        if let Some(release) = req.release {
-            if let Some(speedup) = self.pulse.speedup {
-                let due = std::time::Duration::from_secs_f64(release.max(0.0) / speedup);
-                if let Some(sleep) = due.checked_sub(self.pulse.wall_start.elapsed()) {
-                    std::thread::sleep(sleep);
-                }
+        let tenant = self.pulse.tenant.as_deref();
+        let w = &mut self.w;
+        match ack {
+            Ack::Admit { job, release } => {
+                self.summary.admitted += 1;
+                reset_rec(w, "admit", tenant)
+                    .num_field("line", seq as f64)
+                    .num_field("job", job.0 as f64)
+                    .num_field("release", release);
             }
-            if Time::new(release) > self.session.now() {
-                advance_to(
-                    &mut self.session,
-                    Time::new(release),
-                    &mut self.pulse,
-                    out,
-                    &mut self.summary,
-                    &mut self.w,
-                    &mut self.scratch,
-                )?;
+            Ack::Shed { unfinished } => {
+                self.summary.shed += 1;
+                reset_rec(w, "shed", tenant)
+                    .num_field("line", seq as f64)
+                    .str_field("reason", "max-pending")
+                    .num_field("unfinished", unfinished as f64);
+            }
+            Ack::PlatformOk { op, version } => {
+                let p = self.session.platform();
+                reset_rec(w, "platform-ok", tenant)
+                    .num_field("line", seq as f64)
+                    .str_field("op", op)
+                    .num_field("version", version as f64)
+                    .num_field("edges", p.num_edges_live() as f64)
+                    .num_field("clouds", p.num_clouds_live() as f64);
+            }
+            Ack::Reject(why) => {
+                self.summary.rejected += 1;
+                why.write_into(reset_rec(w, "reject", tenant).num_field("line", seq as f64));
             }
         }
+        write_line(out, self.w.close())?;
+        if self.pulse.stats_every.is_some_and(|n| seq % n == 0) {
+            self.write_stats(Some(seq), out)?;
+        }
+        Ok(())
+    }
 
-        // Bounded admission: shed (with an explicit record) rather than
-        // queueing without limit.
+    /// Brings virtual time up to a submission's release (file replay of a
+    /// historical trace), beating on the way, then admits it — or sheds
+    /// it at `--max-pending` rather than queueing without limit.
+    fn submit(&mut self, req: SubmitRequest, out: &mut impl Write) -> Result<Ack, CliError> {
+        if let Some(release) = req.release {
+            if Time::new(release) > self.session.now() {
+                self.advance(Some(Time::new(release)), out)?;
+            }
+        }
         let unfinished = self.session.snapshot().unfinished;
         if self.max_pending.is_some_and(|cap| unfinished >= cap) {
-            self.summary.shed += 1;
-            reset_rec(&mut self.w, "shed", self.pulse.tenant.as_deref())
-                .num_field("line", seq as f64)
-                .str_field("reason", "max-pending")
-                .num_field("unfinished", unfinished as f64);
-            write_line(out, self.w.close())?;
-            maybe_stats(
-                &self.session,
-                &self.summary,
-                &mut self.pulse,
-                seq,
-                out,
-                &mut self.w,
-            )?;
-            return Ok(());
+            return Ok(Ack::Shed { unfinished });
         }
-
         let release = req.release.unwrap_or_else(|| self.session.now().seconds());
-        match self.session.submit(Job::new(
+        let job = Job::new(
             EdgeId(req.origin),
             release.max(0.0),
             req.work,
             req.up,
             req.dn,
-        )) {
-            Ok(id) => {
-                self.summary.admitted += 1;
-                reset_rec(&mut self.w, "admit", self.pulse.tenant.as_deref())
-                    .num_field("line", seq as f64)
-                    .num_field("job", id.0 as f64)
-                    .num_field("release", release);
-                write_line(out, self.w.close())?;
-            }
-            Err(e) => {
-                self.summary.rejected += 1;
-                self.scratch.clear();
-                {
-                    use std::fmt::Write as _;
-                    let _ = write!(self.scratch, "{e}");
-                }
-                // A submission the session refused (e.g. unknown or
-                // removed origin): the offending field is the origin.
-                reset_rec(&mut self.w, "reject", self.pulse.tenant.as_deref())
-                    .num_field("line", seq as f64)
-                    .str_field("error", &self.scratch)
-                    .str_field("code", e.code())
-                    .str_field("field", "origin");
-                write_line(out, self.w.close())?;
-            }
-        }
-        maybe_stats(
-            &self.session,
-            &self.summary,
-            &mut self.pulse,
-            seq,
-            out,
-            &mut self.w,
-        )?;
-        Ok(())
+        );
+        Ok(match self.session.submit(job) {
+            Ok(job) => Ack::Admit { job, release },
+            // Refused (unknown or removed origin): the field is the origin.
+            Err(e) => Ack::Reject(Reject::new(e.code(), "origin", e.to_string())),
+        })
     }
 
-    /// Input exhausted: runs the backlog dry (still beating
-    /// periodically), then emits the final `summary` record and returns
-    /// the totals.
+    /// Advances the session toward `until` (`None`: until it runs out of
+    /// work), writing completions as they happen and a heartbeat at every
+    /// heartbeat boundary crossed. Returns the last step's status:
+    /// `Reached` once `until` is reached, else `Done` or `Blocked` (only a
+    /// later submission can unblock the session).
     ///
-    /// As in [`advance_to`], an unstarted session's first stop is pushed
-    /// out to its first queued event — pausing before it would emit
-    /// heartbeats stamped with a clock that has not begun (duplicated,
-    /// possibly non-monotone timestamps).
-    pub(crate) fn finish(&mut self, out: &mut impl Write) -> Result<ServeSummary, CliError> {
+    /// Heartbeat timestamps stay strictly monotone, and each payload
+    /// reflects the state *after* its boundary advance: a session whose
+    /// next event lies beyond several boundaries pauses past them all at
+    /// once, and one beat covers the crossing (repeating it per boundary
+    /// would duplicate timestamps and re-report state from before the
+    /// advance).
+    ///
+    /// An *unstarted* session (no release has fired yet — possible when
+    /// every job so far was admitted for a future release) has no clock,
+    /// so it may not beat, and pausing it at a boundary before its first
+    /// event is a no-op that would loop forever. Its first stop is
+    /// therefore pushed out to its first queued event, or to `until` if
+    /// that comes first; then nothing can happen yet.
+    fn advance(
+        &mut self,
+        until: Option<Time>,
+        out: &mut impl Write,
+    ) -> Result<SessionStatus, CliError> {
         loop {
-            let mut bound = Time::new(self.pulse.next_beat);
+            let mut stop = match until {
+                Some(t) if self.pulse.next_beat >= t.seconds() => t,
+                _ => Time::new(self.pulse.next_beat),
+            };
             if !self.session.started() {
                 if let Some(t0) = self.session.next_event_time() {
-                    if t0 > bound {
-                        bound = t0;
+                    if t0 > stop {
+                        stop = until.map_or(t0, |t| t0.min(t));
                     }
                 }
             }
             let status = self
                 .session
-                .run_until(bound)
+                .run_until(stop)
                 .map_err(|e| self.pulse.engine_failure(format!("engine: {e}")))?;
-            emit_completions(
-                &mut self.session,
-                out,
-                &mut self.summary,
-                &mut self.w,
-                &mut self.scratch,
-                self.pulse.tenant.as_deref(),
-            )?;
-            match status {
-                SessionStatus::Done => break,
-                SessionStatus::Blocked => {
-                    return Err(self.pulse.engine_failure(format!(
-                        "stalled at t={} with {} unfinished job(s): the policy \
-                         granted no activity and no event is queued",
-                        self.session.now(),
-                        self.session.snapshot().unfinished
-                    )));
+            self.emit_completions(out)?;
+            // Done or Blocked: an idle session needs no beats. Still
+            // unstarted: its first event lies beyond `until`, so no
+            // boundary was crossed.
+            if matches!(status, SessionStatus::Blocked | SessionStatus::Done)
+                || !self.session.started()
+            {
+                return Ok(status);
+            }
+            if self.pulse.next_beat <= self.session.now().seconds() {
+                self.write_stats(None, out)?;
+                self.pulse.next_beat += self.pulse.beat;
+                while self.pulse.next_beat <= self.session.now().seconds() {
+                    self.pulse.next_beat += self.pulse.beat;
                 }
-                SessionStatus::Reached => {
-                    // See `advance_to`: a pause past the boundary (the next
-                    // event is several beats out) gets one heartbeat with the
-                    // post-advance payload, not a stale repeat per boundary.
-                    // The bound always sits at or past a boundary once the
-                    // session has started, so the guard only skips the
-                    // (unreachable) unstarted pause.
-                    if self.session.started()
-                        && self.pulse.next_beat <= self.session.now().seconds()
-                    {
-                        let record = heartbeat_record(
-                            &self.session,
-                            &self.summary,
-                            &mut self.pulse,
-                            &mut self.w,
-                        );
-                        write_line(out, record)?;
-                        self.pulse.next_beat += self.pulse.beat;
-                        while self.pulse.next_beat <= self.session.now().seconds() {
-                            self.pulse.next_beat += self.pulse.beat;
-                        }
-                    }
-                }
-                SessionStatus::Advanced => {}
+            }
+            if until.is_some_and(|t| self.session.now() >= t) {
+                return Ok(status);
             }
         }
+    }
 
+    /// Drains finished jobs into `completion` records. Uses
+    /// [`Session::drain_completions`] and the reused writer, so the
+    /// steady-state emit path allocates nothing; the per-record `target`
+    /// string goes through the reused scratch buffer for the same reason.
+    fn emit_completions(&mut self, out: &mut impl Write) -> Result<(), CliError> {
+        use std::fmt::Write as _;
+        for c in self.session.drain_completions() {
+            self.summary.completed += 1;
+            self.summary.max_stretch = self.summary.max_stretch.max(c.stretch);
+            self.scratch.clear();
+            let _ = write!(self.scratch, "{}", c.target);
+            reset_rec(&mut self.w, "completion", self.pulse.tenant.as_deref())
+                .num_field("job", c.job.0 as f64)
+                .str_field("target", &self.scratch)
+                .num_field("release", c.release.seconds())
+                .num_field("completion", c.completion.seconds())
+                .num_field("response", c.response())
+                .num_field("stretch", c.stretch);
+            write_line(out, self.w.close())?;
+        }
+        Ok(())
+    }
+
+    /// Writes a `heartbeat` (`line: None`) or the `stats` record of input
+    /// line `line`: the shared payload, with deltas against that stream's
+    /// own previous record.
+    fn write_stats(&mut self, line: Option<usize>, out: &mut impl Write) -> Result<(), CliError> {
+        let (kind, last) = match line {
+            None => ("heartbeat", &mut self.pulse.last_beat),
+            Some(_) => ("stats", &mut self.pulse.last_stats),
+        };
+        let w = reset_rec(&mut self.w, kind, self.pulse.tenant.as_deref());
+        w.num_field("v", STATS_SCHEMA_VERSION as f64);
+        if let Some(n) = line {
+            w.num_field("line", n as f64);
+        }
+        stats_payload(w, &self.session, &self.summary, last);
+        write_line(out, self.w.close())
+    }
+
+    /// Input exhausted: runs the backlog dry (still beating
+    /// periodically), then emits the final `summary` record and returns
+    /// the totals.
+    pub(crate) fn finish(&mut self, out: &mut impl Write) -> Result<ServeSummary, CliError> {
+        if self.advance(None, out)? == SessionStatus::Blocked {
+            return Err(self.pulse.engine_failure(format!(
+                "stalled at t={} with {} unfinished job(s): the policy \
+                 granted no activity and no event is queued",
+                self.session.now(),
+                self.session.snapshot().unfinished
+            )));
+        }
         let snap = self.session.snapshot();
         self.summary.max_stretch = self.summary.max_stretch.max(snap.max_stretch);
         reset_rec(&mut self.w, "summary", self.pulse.tenant.as_deref())
@@ -1034,23 +875,6 @@ impl<'a> Lane<'a> {
     }
 }
 
-/// Builds a self-contained tagged lane that owns its instance, policy,
-/// and flight recorder: the sharded server's per-tenant session, safe to
-/// store in a worker's lane map with no borrows back into the caller.
-pub(crate) fn owned_lane(inst: Instance, cfg: &ServeConfig, tenant: String) -> Lane<'static> {
-    let flight = Shared::new(FlightRecorder::with_capacity(FLIGHT_CAPACITY));
-    let tandem = Tandem {
-        flight: flight.handle(),
-        other: None,
-    };
-    let session = Simulation::owning(inst)
-        .policy_boxed(cfg.policy.build(cfg.seed))
-        .options(cfg.engine)
-        .observer_boxed(Box::new(tandem))
-        .session();
-    Lane::new(session, cfg, Some(tenant), flight)
-}
-
 /// Runs the serving loop: reads NDJSON submissions from `input`, steps a
 /// [`Session`] between arrivals, and writes NDJSON records to `out`.
 ///
@@ -1060,26 +884,14 @@ pub(crate) fn owned_lane(inst: Instance, cfg: &ServeConfig, tenant: String) -> L
 pub fn serve(
     inst: &Instance,
     cfg: &ServeConfig,
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut out: impl Write,
     observer: Option<&mut dyn Observer>,
 ) -> Result<ServeSummary, CliError> {
     validate_config(cfg)?;
-    let flight = Shared::new(FlightRecorder::with_capacity(FLIGHT_CAPACITY));
-    let tandem = Tandem {
-        flight: flight.handle(),
-        other: observer,
-    };
-    let session = Simulation::of(inst)
-        .policy_boxed(cfg.policy.build(cfg.seed))
-        .options(cfg.engine)
-        .observer_boxed(Box::new(tandem))
-        .session();
-    let mut lane = Lane::new(session, cfg, None, flight);
+    let mut lane = Lane::new(Simulation::of(inst), cfg, None, observer);
     lane.hello(&mut out)?;
-
     let mut line = String::new();
-    let mut input = input;
     loop {
         line.clear();
         let n = input

@@ -1,14 +1,14 @@
 //! The per-connection merger: owns the connection's output half, drains
-//! the per-shard record channels into it, interleaves wall-clock
+//! the connection's merge channel into it, interleaves wall-clock
 //! `server-heartbeat` records, and closes the stream with one
 //! `server-summary` (see the module docs in [`super`]).
 //!
 //! Records arrive as whole pre-framed NDJSON lines, so interleaving
 //! streams from different shards can reorder lines *between* tenants but
 //! never corrupt or reorder lines *within* one tenant — each tenant's
-//! records travel one SPSC channel in order.
+//! records come from one shard, whose sends arrive in order.
 
-use super::{ConnCounters, MergeMsg, ServerConfig, ServerSummary, Totals};
+use super::{ConnCounters, MergeMsg, ServerConfig, ServerSummary};
 use crate::cli::CliError;
 use crate::ndjson::ObjWriter;
 use std::io::Write;
@@ -25,12 +25,14 @@ fn write_record(out: &mut impl Write, record: &str) -> Result<(), CliError> {
     writeln!(out, "{record}").map_err(|e| CliError::Io(format!("output stream: {e}")))
 }
 
-/// Emits `server-hello`, then merges until every shard acknowledged EOF
-/// and the router reported its read totals; emits `server-summary` and
-/// returns the connection's totals.
+/// Emits `server-hello`, then merges until the channel disconnects —
+/// every shard and the router finished the connection and dropped its
+/// sender, or died without finishing (a panic), which must still close
+/// the connection out; emits `server-summary` and returns the
+/// connection's totals.
 pub(crate) fn run(
     mut out: impl Write,
-    rxs: Vec<mpsc::Receiver<MergeMsg>>,
+    rx: mpsc::Receiver<MergeMsg>,
     counters: Arc<ConnCounters>,
     cfg: &ServerConfig,
 ) -> Result<ServerSummary, CliError> {
@@ -54,53 +56,28 @@ pub(crate) fn run(
     let mut seq = 0u64;
     let mut last_wall_ms = 0u64;
     let mut next_beat_ms = cfg.heartbeat_ms;
-    let mut eof = vec![false; rxs.len()];
-    let mut totals = Totals::default();
-    let mut reader_lines = 0usize;
-    let mut reader_shed = 0usize;
+    let mut summary = ServerSummary::default();
     loop {
+        // Drain whatever is ready before flushing once for the pass.
         let mut idle = true;
-        for (i, rx) in rxs.iter().enumerate() {
-            if eof[i] {
-                continue;
-            }
-            // Drain whatever this channel has ready before moving on, so
-            // a chatty shard doesn't wait a full sweep per record.
-            loop {
-                match rx.try_recv() {
-                    Ok(MergeMsg::Records(bytes)) => {
-                        idle = false;
-                        write_all(&mut out, &bytes)?;
-                    }
-                    Ok(MergeMsg::ShardEof { totals: t }) => {
-                        idle = false;
-                        totals.add(&t);
-                        eof[i] = true;
-                        break;
-                    }
-                    Ok(MergeMsg::ReaderEof { lines, shed }) => {
-                        idle = false;
-                        reader_lines = lines;
-                        reader_shed = shed;
-                        eof[i] = true;
-                        break;
-                    }
-                    Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        // Worker or router died without an EOF message
-                        // (panic): treat as end of that stream so the
-                        // connection still closes out.
-                        eof[i] = true;
-                        break;
-                    }
+        let mut closed = false;
+        loop {
+            match rx.try_recv() {
+                Ok(MergeMsg::Records(bytes)) => write_all(&mut out, &bytes)?,
+                Ok(MergeMsg::Done(share)) => summary.add(&share),
+                Err(mpsc::TryRecvError::Empty) => break,
+                Err(mpsc::TryRecvError::Disconnected) => {
+                    closed = true;
+                    break;
                 }
             }
+            idle = false;
         }
         if !idle {
             out.flush()
                 .map_err(|e| CliError::Io(format!("output stream: {e}")))?;
         }
-        if eof.iter().all(|&done| done) {
+        if closed {
             break;
         }
         if cfg.heartbeat_ms > 0 {
@@ -130,19 +107,11 @@ pub(crate) fn run(
             }
         }
         if idle {
-            // Nothing ready on any channel: yield instead of spinning.
+            // Nothing ready on the channel: yield instead of spinning.
             std::thread::sleep(std::time::Duration::from_micros(500));
         }
     }
 
-    let summary = ServerSummary {
-        lines: reader_lines,
-        admitted: totals.admitted,
-        shed: totals.shed + reader_shed,
-        rejected: totals.rejected,
-        completed: totals.completed,
-        tenants: totals.lanes,
-    };
     w.reset("server-summary");
     w.num_field("lines", summary.lines as f64)
         .num_field("admitted", summary.admitted as f64)

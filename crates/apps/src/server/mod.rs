@@ -5,9 +5,9 @@
 //! thread:
 //!
 //! ```text
-//!              ┌────────► shard worker 0 ──┐  per-(conn,shard)
+//!              ┌────────► shard worker 0 ──┐
 //!  reader ─────┼────────► shard worker 1 ──┼────► merger ───► client
-//!  (router)    └────────► shard worker N-1 ┘  SPSC channels
+//!  (router)    └────────► shard worker N-1 ┘  one merge channel
 //! ```
 //!
 //! * The **reader** (router) owns the connection's input half: it parses
@@ -19,11 +19,16 @@
 //!   single-session serving loops with a `"tenant"` tag on every record
 //!   — created lazily on a tenant's first line (from a `{"type":"spec"}`
 //!   record, or the server's default platform). Workers never share
-//!   sessions and sessions never cross threads.
-//! * The **merger** owns the output half: it drains the per-shard SPSC
-//!   record channels, interleaves them with `server-heartbeat` records
+//!   sessions and sessions never cross threads. A lane that fails (an
+//!   engine error, or a panic inside the lane) is torn down alone: its
+//!   tenant gets one `error` record and the worker keeps serving the
+//!   shard's other tenants.
+//! * The **merger** owns the output half: it drains the connection's one
+//!   merge channel, interleaves it with `server-heartbeat` records
 //!   (strictly monotone `seq`/`wall_ms`), and closes the stream with one
-//!   `server-summary` after every shard drained the connection.
+//!   `server-summary`. Every shard and the router send on a clone of the
+//!   channel's sender and drop it once done with the connection; the
+//!   channel disconnecting is the end of the stream.
 //!
 //! Backpressure sheds rather than blocks at three levels: per-lane
 //! `--max-pending` (inside the lane, deterministic), per-shard
@@ -42,7 +47,7 @@ mod route;
 mod worker;
 
 use crate::cli::CliError;
-use crate::serve::{validate_config, ServeConfig};
+use crate::serve::{validate_config, ServeConfig, ServeSummary};
 use mmsec_platform::Instance;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -55,9 +60,8 @@ use std::thread;
 
 /// Sharded-server knobs on top of the per-lane [`ServeConfig`].
 pub struct ServerConfig {
-    /// Per-lane serving knobs (policy, seed, engine options, heartbeat
-    /// cadence, `--max-pending`, `--stats-every`). `speedup` must be
-    /// unset: wall-clock replay pacing is a single-session affair.
+    /// Per-lane serving knobs (policy, seed, heartbeat cadence,
+    /// `--max-pending`, `--stats-every`).
     pub serve: ServeConfig,
     /// Worker threads; each owns the lanes of the tenants hashed to it.
     pub shards: usize,
@@ -119,7 +123,8 @@ impl Listen {
 }
 
 /// Per-connection totals, as written into the final `server-summary`
-/// record and returned by [`run_sharded`].
+/// record and returned by [`run_sharded`]. The router and each shard
+/// send the merger their share of them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerSummary {
     /// Input lines read on the connection (including router-shed ones).
@@ -137,28 +142,29 @@ pub struct ServerSummary {
     pub tenants: usize,
 }
 
-pub(crate) type ConnId = u64;
-
-/// Totals a shard accumulated for one connection (summed lane
-/// summaries), carried to the merger on [`MergeMsg::ShardEof`].
-#[derive(Clone, Copy, Default)]
-pub(crate) struct Totals {
-    pub(crate) admitted: usize,
-    pub(crate) shed: usize,
-    pub(crate) rejected: usize,
-    pub(crate) completed: usize,
-    pub(crate) lanes: usize,
-}
-
-impl Totals {
-    pub(crate) fn add(&mut self, other: &Totals) {
+impl ServerSummary {
+    /// Adds another share of the connection's totals.
+    pub(crate) fn add(&mut self, other: &ServerSummary) {
+        self.lines += other.lines;
         self.admitted += other.admitted;
         self.shed += other.shed;
         self.rejected += other.rejected;
         self.completed += other.completed;
-        self.lanes += other.lanes;
+        self.tenants += other.tenants;
+    }
+
+    /// Folds in one closed lane's final summary. Its input lines are
+    /// already counted by the router.
+    pub(crate) fn absorb(&mut self, lane: &ServeSummary) {
+        self.admitted += lane.admitted;
+        self.shed += lane.shed;
+        self.rejected += lane.rejected;
+        self.completed += lane.completed;
+        self.tenants += 1;
     }
 }
+
+pub(crate) type ConnId = u64;
 
 /// Live per-connection counters, updated by the workers after every line
 /// and read (racily, monotonically) by the merger for its
@@ -196,8 +202,8 @@ impl Gate {
 
 /// What the router sends a shard worker.
 pub(crate) enum ShardMsg {
-    /// A connection opened: here is the shard's private channel back to
-    /// its merger, and the connection's live counters.
+    /// A connection opened: here is the shard's clone of the sender of
+    /// the connection's merge channel, and its live counters.
     Open {
         conn: ConnId,
         out: mpsc::Sender<MergeMsg>,
@@ -209,23 +215,19 @@ pub(crate) enum ShardMsg {
         tenant: String,
         line: String,
     },
-    /// The connection's input ended: drain and finish its lanes, then
-    /// acknowledge with [`MergeMsg::ShardEof`].
+    /// The connection's input ended: drain and finish its lanes, send
+    /// [`MergeMsg::Done`], and drop the merge sender.
     Eof { conn: ConnId },
 }
 
-/// What a shard worker (or the router, on its own channel) sends a
-/// connection's merger. Each channel is SPSC: one worker in, the merger
-/// out.
+/// What a shard worker or the router sends a connection's merger.
 pub(crate) enum MergeMsg {
     /// Verbatim, already-framed NDJSON output (one or more whole lines).
     Records(Vec<u8>),
-    /// This shard finished the connection; no more records will follow
-    /// on this channel.
-    ShardEof { totals: Totals },
-    /// The router finished reading: `lines` input lines total, of which
-    /// `shed` were shed at the router (never reached a shard).
-    ReaderEof { lines: usize, shed: usize },
+    /// The sender finished the connection; this is its share of the
+    /// totals (the router's: input lines read, and lines shed before
+    /// reaching a shard), and no records follow from it.
+    Done(ServerSummary),
 }
 
 /// A shard's input queue sender: unbounded, or bounded with
@@ -240,8 +242,8 @@ impl ShardTx {
     /// Control messages (`Open`/`Eof`) always go through, blocking on a
     /// full bounded queue — they are rare and must not be lost.
     pub(crate) fn send(&self, msg: ShardMsg) {
-        // A send only fails when the worker is gone, which only happens
-        // on worker panic; the merger then sees the disconnect.
+        // A send only fails when the worker thread is gone; its merge
+        // senders went with it, so the merger still sees the disconnect.
         match self {
             ShardTx::Unbounded(tx) => {
                 let _ = tx.send(msg);
@@ -279,11 +281,6 @@ pub(crate) fn shard_of(tenant: &str, shards: usize) -> usize {
 
 fn validate(cfg: &ServerConfig) -> Result<(), CliError> {
     validate_config(&cfg.serve)?;
-    if cfg.serve.speedup.is_some() {
-        return Err(CliError::Usage(
-            "--speedup applies to single-session file replay, not the sharded server".into(),
-        ));
-    }
     if cfg.shards == 0 {
         return Err(CliError::Usage("--shards must be at least 1".into()));
     }
@@ -293,42 +290,54 @@ fn validate(cfg: &ServerConfig) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Builds one shard input channel per the config's queue bound.
-fn shard_channel(cfg: &ServerConfig) -> (ShardTx, mpsc::Receiver<ShardMsg>) {
-    match cfg.max_queue {
-        Some(cap) => {
-            let (tx, rx) = mpsc::sync_channel(cap);
-            (ShardTx::Bounded(tx), rx)
-        }
-        None => {
-            let (tx, rx) = mpsc::channel();
-            (ShardTx::Unbounded(tx), rx)
-        }
-    }
+/// Boots the worker pool in `scope`: one worker per shard, each behind
+/// its own input queue (bounded by `--max-queue`). Returns the queues.
+fn boot<'s, 'e: 's>(
+    scope: &'s thread::Scope<'s, 'e>,
+    inst: &'e Instance,
+    cfg: &'e ServerConfig,
+    gate: &'e Gate,
+) -> Vec<ShardTx> {
+    (0..cfg.shards)
+        .map(|_| {
+            let (tx, rx) = match cfg.max_queue {
+                Some(cap) => {
+                    let (tx, rx) = mpsc::sync_channel(cap);
+                    (ShardTx::Bounded(tx), rx)
+                }
+                None => {
+                    let (tx, rx) = mpsc::channel();
+                    (ShardTx::Unbounded(tx), rx)
+                }
+            };
+            scope.spawn(move || worker::run(rx, inst, cfg, gate));
+            tx
+        })
+        .collect()
 }
 
-/// Opens a connection on the worker pool: creates the per-shard SPSC
-/// merge channels, announces the connection to every shard, and returns
-/// the merger's receivers (one per shard, plus the router's own last)
-/// and the router's direct sender.
+/// Opens connection `conn` on the worker pool: creates its one merge
+/// channel and its live counters, and hands every shard a clone of the
+/// sender. Returns the router's sender, and the merger's receiver and
+/// counters.
 fn open_conn(
     conn: ConnId,
     shard_txs: &[ShardTx],
-    counters: &Arc<ConnCounters>,
-) -> (Vec<mpsc::Receiver<MergeMsg>>, mpsc::Sender<MergeMsg>) {
-    let mut rxs = Vec::with_capacity(shard_txs.len() + 1);
-    for tx in shard_txs {
-        let (mtx, mrx) = mpsc::channel();
-        tx.send(ShardMsg::Open {
+) -> (
+    mpsc::Sender<MergeMsg>,
+    mpsc::Receiver<MergeMsg>,
+    Arc<ConnCounters>,
+) {
+    let (tx, rx) = mpsc::channel();
+    let counters = Arc::new(ConnCounters::default());
+    for shard in shard_txs {
+        shard.send(ShardMsg::Open {
             conn,
-            out: mtx,
-            counters: Arc::clone(counters),
+            out: tx.clone(),
+            counters: Arc::clone(&counters),
         });
-        rxs.push(mrx);
     }
-    let (router_tx, router_rx) = mpsc::channel();
-    rxs.push(router_rx);
-    (rxs, router_tx)
+    (tx, rx, counters)
 }
 
 /// Runs one sharded "connection" over arbitrary reader/writer halves —
@@ -343,22 +352,11 @@ pub fn run_sharded(
 ) -> Result<ServerSummary, CliError> {
     validate(cfg)?;
     let gate = Gate::new();
-    let counters = Arc::new(ConnCounters::default());
     thread::scope(|s| {
-        let mut shard_txs = Vec::with_capacity(cfg.shards);
-        for shard in 0..cfg.shards {
-            let (tx, rx) = shard_channel(cfg);
-            shard_txs.push(tx);
-            let gate = &gate;
-            s.spawn(move || worker::run(shard, rx, inst, cfg, gate));
-        }
-        let (merge_rxs, router_tx) = open_conn(0, &shard_txs, &counters);
-        let merger = {
-            let counters = Arc::clone(&counters);
-            s.spawn(move || merge::run(out, merge_rxs, counters, cfg))
-        };
-        let routed = route::run(input, 0, &shard_txs, &router_tx, cfg, &gate);
-        drop(router_tx);
+        let shard_txs = boot(s, inst, cfg, &gate);
+        let (router_tx, merge_rx, counters) = open_conn(0, &shard_txs);
+        let merger = s.spawn(move || merge::run(out, merge_rx, counters, cfg));
+        let routed = route::run(input, 0, &shard_txs, router_tx, cfg, &gate);
         drop(shard_txs);
         let summary = merger
             .join()
@@ -432,34 +430,26 @@ fn accept_loop<S: ConnStream + 'static>(
 ) -> Result<(), CliError> {
     let gate = Gate::new();
     thread::scope(|s| {
-        let mut shard_txs = Vec::with_capacity(cfg.shards);
-        for shard in 0..cfg.shards {
-            let (tx, rx) = shard_channel(cfg);
-            shard_txs.push(tx);
-            let gate = &gate;
-            s.spawn(move || worker::run(shard, rx, inst, cfg, gate));
-        }
-        let mut conn_id: ConnId = 0;
+        let shard_txs = boot(s, inst, cfg, &gate);
+        let mut conn: ConnId = 0;
         loop {
             let stream = accept().map_err(|e| CliError::Io(format!("accept: {e}")))?;
-            conn_id += 1;
-            let conn = conn_id;
+            conn += 1;
             let reader = stream
                 .split()
                 .map_err(|e| CliError::Io(format!("clone stream: {e}")))?;
-            let counters = Arc::new(ConnCounters::default());
-            let (merge_rxs, router_tx) = open_conn(conn, &shard_txs, &counters);
+            let (router_tx, merge_rx, counters) = open_conn(conn, &shard_txs);
             let router_txs = shard_txs.clone();
             let gate = &gate;
             s.spawn(move || {
                 let input = BufReader::new(reader);
-                if let Err(e) = route::run(input, conn, &router_txs, &router_tx, cfg, gate) {
+                if let Err(e) = route::run(input, conn, &router_txs, router_tx, cfg, gate) {
                     eprintln!("mmsec serve: conn {conn} reader: {e}");
                 }
             });
             let merger = s.spawn(move || {
                 let out = BufWriter::new(stream);
-                match merge::run(out, merge_rxs, counters, cfg) {
+                match merge::run(out, merge_rx, counters, cfg) {
                     Ok(sum) => eprintln!(
                         "mmsec serve: conn {conn} closed: {} line(s), {} admitted, \
                          {} shed, {} rejected, {} completed, {} tenant(s)",

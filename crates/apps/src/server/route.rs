@@ -2,7 +2,7 @@
 //! line, applies router-level overload shedding, and forwards raw lines
 //! to the owning shard (see the module docs in [`super`]).
 
-use super::{shard_of, ConnId, Gate, MergeMsg, ServerConfig, ShardMsg, ShardTx};
+use super::{shard_of, ConnId, Gate, MergeMsg, ServerConfig, ServerSummary, ShardMsg, ShardTx};
 use crate::cli::CliError;
 use crate::ndjson::{parse_object_into, ObjBuf, ObjWriter};
 use std::io::BufRead;
@@ -67,13 +67,13 @@ fn shed_record(
 }
 
 /// Reads the connection's input to EOF, routing every line; then tells
-/// every shard the connection ended and reports the read totals to the
-/// merger.
+/// every shard the connection ended, reports the read totals to the
+/// merger, and drops the router's merge sender.
 pub(crate) fn run(
     mut input: impl BufRead,
     conn: ConnId,
     shard_txs: &[ShardTx],
-    merge_tx: &mpsc::Sender<MergeMsg>,
+    merge_tx: mpsc::Sender<MergeMsg>,
     cfg: &ServerConfig,
     gate: &Gate,
 ) -> Result<(), CliError> {
@@ -98,7 +98,7 @@ pub(crate) fn run(
         let info = classify(line.trim_end(), &mut fields);
         if info.gated && cfg.global_pending.is_some_and(|cap| gate.over(cap)) {
             shed += 1;
-            shed_record(&mut w, merge_tx, &info.tenant, "global-overload", None);
+            shed_record(&mut w, &merge_tx, &info.tenant, "global-overload", None);
             continue;
         }
         let shard = shard_of(&info.tenant, shard_txs.len());
@@ -110,7 +110,7 @@ pub(crate) fn run(
         if info.gated {
             if let Err(ShardMsg::Line { tenant, .. }) = shard_txs[shard].try_line(msg) {
                 shed += 1;
-                shed_record(&mut w, merge_tx, &tenant, "shard-overloaded", Some(shard));
+                shed_record(&mut w, &merge_tx, &tenant, "shard-overloaded", Some(shard));
             }
         } else {
             // Control records (platform mutations, specs) must not be
@@ -123,6 +123,10 @@ pub(crate) fn run(
     for tx in shard_txs {
         tx.send(ShardMsg::Eof { conn });
     }
-    let _ = merge_tx.send(MergeMsg::ReaderEof { lines, shed });
+    let _ = merge_tx.send(MergeMsg::Done(ServerSummary {
+        lines,
+        shed,
+        ..ServerSummary::default()
+    }));
     result
 }

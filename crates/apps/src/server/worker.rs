@@ -5,13 +5,21 @@
 //! Sessions are created *inside* the worker thread and never leave it —
 //! the only data crossing threads is raw input lines in and rendered
 //! record bytes out, so the engine needs no synchronization.
+//!
+//! A lane whose `handle_line` or `finish` fails — an engine error, or a
+//! panic caught at that call — is torn down alone: one `error` record for
+//! its tenant, its session never stepped again, and the unfinished jobs it
+//! was last counted with released from the global gate. The worker keeps
+//! serving the shard's other tenants.
 
-use super::{ConnCounters, ConnId, Gate, MergeMsg, ServerConfig, ShardMsg, Totals};
+use super::{ConnCounters, ConnId, Gate, MergeMsg, ServerConfig, ServerSummary, ShardMsg};
+use crate::cli::CliError;
 use crate::ndjson::{parse_object_into, ObjBuf, ObjWriter};
-use crate::serve::{owned_lane, Lane, Reject, ServeSummary};
-use mmsec_platform::Instance;
+use crate::serve::{Lane, Reject, ServeSummary};
+use mmsec_platform::{Instance, Simulation};
 use std::collections::HashMap;
 use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 
@@ -26,47 +34,62 @@ struct LaneSlot {
     unfinished: usize,
 }
 
+impl LaneSlot {
+    /// Publishes the lane's counter deltas since the last call into the
+    /// connection counters (the merger's heartbeat payload). Reads the
+    /// lane's summary only, never its session.
+    fn publish_counts(&mut self, counters: &ConnCounters) {
+        let s = *self.lane.summary();
+        counters
+            .lines
+            .fetch_add(s.lines - self.last.lines, Ordering::Relaxed);
+        counters
+            .admitted
+            .fetch_add(s.admitted - self.last.admitted, Ordering::Relaxed);
+        counters
+            .shed
+            .fetch_add(s.shed - self.last.shed, Ordering::Relaxed);
+        counters
+            .rejected
+            .fetch_add(s.rejected - self.last.rejected, Ordering::Relaxed);
+        counters
+            .completed
+            .fetch_add(s.completed - self.last.completed, Ordering::Relaxed);
+        self.last = s;
+    }
+
+    /// Retires the lane from its connection: publishes its last counter
+    /// deltas, releases from the gate the unfinished jobs it was last
+    /// counted with, and folds its summary into `totals`. A finished lane
+    /// holds no work and a failed one is not read again, so the count last
+    /// published is what to release either way.
+    fn retire(mut self, counters: &ConnCounters, gate: &Gate, totals: &mut ServerSummary) {
+        self.publish_counts(counters);
+        gate.add(-(self.unfinished as isize));
+        totals.absorb(&self.last);
+    }
+}
+
 struct ConnState {
     out: mpsc::Sender<MergeMsg>,
     counters: Arc<ConnCounters>,
-    /// Totals of lanes closed before EOF (engine failures) plus router
-    /// rejects that never created a lane.
-    closed: Totals,
+    /// Totals of lanes closed before EOF (failed lanes) plus bad `spec`
+    /// records that never created a lane.
+    closed: ServerSummary,
 }
 
-/// Publishes the lane's progress since the last call: counter deltas for
-/// the merger's heartbeat payload, and the unfinished-jobs delta into the
-/// global admission gate.
-fn publish(slot: &mut LaneSlot, counters: &ConnCounters, gate: &Gate) {
-    let s = *slot.lane.summary();
-    counters
-        .lines
-        .fetch_add(s.lines - slot.last.lines, Ordering::Relaxed);
-    counters
-        .admitted
-        .fetch_add(s.admitted - slot.last.admitted, Ordering::Relaxed);
-    counters
-        .shed
-        .fetch_add(s.shed - slot.last.shed, Ordering::Relaxed);
-    counters
-        .rejected
-        .fetch_add(s.rejected - slot.last.rejected, Ordering::Relaxed);
-    counters
-        .completed
-        .fetch_add(s.completed - slot.last.completed, Ordering::Relaxed);
-    slot.last = s;
-    let unfinished = slot.lane.unfinished();
-    gate.add(unfinished as isize - slot.unfinished as isize);
-    slot.unfinished = unfinished;
-}
-
-/// Folds a closed lane's final summary into the per-connection totals.
-fn absorb(totals: &mut Totals, summary: &ServeSummary) {
-    totals.admitted += summary.admitted;
-    totals.shed += summary.shed;
-    totals.rejected += summary.rejected;
-    totals.completed += summary.completed;
-    totals.lanes += 1;
+/// Runs one lane call, turning a panic inside it into an error: a
+/// panicking lane then fails like an erroring one, instead of unwinding
+/// the worker thread and every tenant of the shard with it.
+fn guarded<T>(call: impl FnOnce() -> Result<T, CliError>) -> Result<T, CliError> {
+    catch_unwind(AssertUnwindSafe(call)).unwrap_or_else(|payload| {
+        let why = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("unknown cause");
+        Err(CliError::Failure(format!("lane panicked: {why}")))
+    })
 }
 
 /// What a tenant's first line turned out to be.
@@ -110,15 +133,16 @@ fn push_record(buf: &mut Vec<u8>, record: &str) {
     let _ = writeln!(buf, "{record}");
 }
 
+/// Appends the `error` record of a failed lane.
+fn error_record(w: &mut ObjWriter, buf: &mut Vec<u8>, tenant: &str, e: &CliError) {
+    w.reset("error");
+    w.str_field("tenant", tenant)
+        .str_field("error", &e.to_string());
+    push_record(buf, w.close());
+}
+
 /// The worker loop: runs until every [`super::ShardTx`] handle is gone.
-pub(crate) fn run(
-    shard: usize,
-    rx: mpsc::Receiver<ShardMsg>,
-    inst: &Instance,
-    cfg: &ServerConfig,
-    gate: &Gate,
-) {
-    let _ = shard;
+pub(crate) fn run(rx: mpsc::Receiver<ShardMsg>, inst: &Instance, cfg: &ServerConfig, gate: &Gate) {
     let mut lanes: HashMap<(ConnId, String), LaneSlot> = HashMap::new();
     let mut conns: HashMap<ConnId, ConnState> = HashMap::new();
     let mut fields = ObjBuf::new();
@@ -136,7 +160,7 @@ pub(crate) fn run(
                     ConnState {
                         out,
                         counters,
-                        closed: Totals::default(),
+                        closed: ServerSummary::default(),
                     },
                 );
             }
@@ -172,11 +196,8 @@ pub(crate) fn run(
                             .num_field("clouds", i.spec.num_cloud() as f64);
                         push_record(&mut buf, w.close());
                     }
-                    let mut lane = owned_lane(
-                        lane_inst.unwrap_or_else(|| inst.clone()),
-                        &cfg.serve,
-                        tenant.clone(),
-                    );
+                    let sim = Simulation::owning(lane_inst.unwrap_or_else(|| inst.clone()));
+                    let mut lane = Lane::new(sim, &cfg.serve, Some(tenant.clone()), None);
                     cs.counters.lanes.fetch_add(1, Ordering::Relaxed);
                     lane.hello(&mut buf).expect("writing to a Vec cannot fail");
                     let slot = LaneSlot {
@@ -191,20 +212,17 @@ pub(crate) fn run(
                     }
                 }
                 let slot = lanes.get_mut(&key).expect("lane was just ensured");
-                match slot.lane.handle_line(&line, &mut buf) {
-                    Ok(()) => publish(slot, &cs.counters, gate),
+                match guarded(|| slot.lane.handle_line(&line, &mut buf)) {
+                    Ok(()) => {
+                        slot.publish_counts(&cs.counters);
+                        let unfinished = slot.lane.unfinished();
+                        gate.add(unfinished as isize - slot.unfinished as isize);
+                        slot.unfinished = unfinished;
+                    }
                     Err(e) => {
-                        // An engine failure poisons only this lane: report
-                        // it on the stream, tear the lane down, and keep
-                        // serving the shard's other tenants.
-                        publish(slot, &cs.counters, gate);
-                        w.reset("error");
-                        w.str_field("tenant", &key.1)
-                            .str_field("error", &e.to_string());
-                        push_record(&mut buf, w.close());
+                        error_record(&mut w, &mut buf, &key.1, &e);
                         let slot = lanes.remove(&key).expect("present");
-                        absorb(&mut cs.closed, &slot.last);
-                        gate.add(-(slot.unfinished as isize));
+                        slot.retire(&cs.counters, gate, &mut cs.closed);
                     }
                 }
                 if !buf.is_empty() {
@@ -212,7 +230,7 @@ pub(crate) fn run(
                 }
             }
             ShardMsg::Eof { conn } => {
-                let Some(cs) = conns.remove(&conn) else {
+                let Some(mut cs) = conns.remove(&conn) else {
                     continue;
                 };
                 // Drain this connection's lanes in tenant order so the
@@ -224,25 +242,17 @@ pub(crate) fn run(
                     .collect();
                 tenants.sort();
                 buf.clear();
-                let mut totals = cs.closed;
                 for tenant in tenants {
                     let mut slot = lanes.remove(&(conn, tenant.clone())).expect("listed");
-                    if let Err(e) = slot.lane.finish(&mut buf) {
-                        w.reset("error");
-                        w.str_field("tenant", &tenant)
-                            .str_field("error", &e.to_string());
-                        push_record(&mut buf, w.close());
+                    if let Err(e) = guarded(|| slot.lane.finish(&mut buf)) {
+                        error_record(&mut w, &mut buf, &tenant, &e);
                     }
-                    publish(&mut slot, &cs.counters, gate);
-                    // The drained lane holds no unfinished work on
-                    // success; on failure, release what it still held.
-                    gate.add(-(slot.unfinished as isize));
-                    absorb(&mut totals, &slot.last);
+                    slot.retire(&cs.counters, gate, &mut cs.closed);
                 }
                 if !buf.is_empty() {
                     let _ = cs.out.send(MergeMsg::Records(std::mem::take(&mut buf)));
                 }
-                let _ = cs.out.send(MergeMsg::ShardEof { totals });
+                let _ = cs.out.send(MergeMsg::Done(cs.closed));
             }
         }
     }

@@ -216,13 +216,7 @@ fn choose_target(
     let job = view.job(id);
     let committed = jobs.committed[i];
     // Time already invested in the committed attempt (what a switch wastes).
-    let sunk = match committed {
-        Some(Target::Edge) => jobs.work_done[i] / spec.edge_speed(job.origin),
-        Some(Target::Cloud(k)) => {
-            jobs.up_done[i] + jobs.work_done[i] / spec.cloud_speed(k) + jobs.dn_done[i]
-        }
-        None => 0.0,
-    };
+    let sunk = committed.map_or(0.0, |t| jobs.done_time_on(i, job, t, spec));
     // Continuing keeps the committed target's progress; every other
     // target restarts from scratch.
     let kept = committed.map(|t| {
@@ -594,6 +588,50 @@ mod tests {
             );
             let t = super::choose_target(&proj, &view, JobId(0), view.spec());
             assert_eq!(t, Target::Cloud(CloudId(1)));
+        }
+
+        // Case 4: two tiers. Cloud 0 sits one (1, 1) hop out, cloud 1 a
+        // further (2, 2) hop out (path factors 3). The job is committed to
+        // cloud 1 with its uplink done, which took 1 × 3 = 3 seconds. Cloud
+        // 1 queued 1 second: continuation projects 1 + 4 + 1 × 3 = 8, bar
+        // = 8 − 3 = 5. Idle cloud 0 fresh projects 1 + 4 + 1 = 6 ≥ 5 →
+        // stay. Pricing the sunk uplink at 1 second would lift the bar to
+        // 7 and switch.
+        {
+            let spec = PlatformSpec::builder()
+                .edges(vec![0.01])
+                .tier(1.0, 1.0)
+                .cloud(1.0)
+                .tier(2.0, 2.0)
+                .cloud(1.0)
+                .build();
+            let inst = Instance::new(spec, vec![job]).unwrap();
+            let states = vec![JobState {
+                released: true,
+                committed: Some(Target::Cloud(CloudId(1))),
+                up_done: 1.0,
+                ..JobState::default()
+            }];
+            let arena = JobArena::from_states(&inst, &states);
+            let pending = PendingSet::from_states(&inst, &states);
+            let platform = PlatformState::new(inst.spec.clone());
+            let view = SimView::new(&inst, Time::new(10.0), &arena, &pending, &platform);
+            let mut proj = Projection::from_view(&view);
+            let phantom = Job::new(EdgeId(0), 0.0, 1.0, 0.0, 0.0);
+            let fresh = (phantom.up, phantom.work, phantom.dn);
+            proj.place(
+                &phantom,
+                fresh,
+                Target::Cloud(CloudId(1)),
+                view.spec(),
+                view.now,
+            );
+            let t = super::choose_target(&proj, &view, JobId(0), view.spec());
+            assert_eq!(
+                t,
+                Target::Cloud(CloudId(1)),
+                "sunk transfers are priced along the tier path"
+            );
         }
     }
 }

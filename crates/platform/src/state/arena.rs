@@ -203,6 +203,16 @@ impl JobArena {
         duration(job, target, self.remaining(i, job), spec)
     }
 
+    /// Contention-free time job `i`'s progress so far took on `target`:
+    /// its done volumes, priced as [`JobArena::remaining_time_on`] prices
+    /// the remaining ones. On the committed target, this is what a switch
+    /// throws away.
+    #[inline]
+    pub fn done_time_on(&self, i: usize, job: &Job, target: Target, spec: &PlatformSpec) -> f64 {
+        let done = (self.up_done[i], self.work_done[i], self.dn_done[i]);
+        duration(job, target, done, spec)
+    }
+
     /// Contention-free remaining duration of job `i` on `target`,
     /// accounting for a from-scratch reset when `target` differs from the
     /// committed one.

@@ -162,7 +162,7 @@ fn heartbeats_carry_the_v4_stats_payload() {
         ] {
             assert!(has_field(beat, key), "heartbeat missing {key}");
         }
-        // No --speedup: there is no replay clock to lag behind.
+        // Virtual time only: no wall-clock field.
         assert!(!has_field(beat, "lag"));
     }
     // Counters are monotone across the stream, and the per-interval
@@ -625,6 +625,77 @@ not json at all
     );
 }
 
+/// The whole single-session output for one fixed input, byte for byte,
+/// so a refactor of the serving loop cannot change the protocol. The
+/// input opens on an unstarted session whose first release lies beyond
+/// two heartbeat boundaries (one beat covers the crossing), then admits,
+/// sheds at `max_pending`, rejects a `parse-error`, an `unknown-field`
+/// and an unknown origin, applies one mutation and refuses another, emits
+/// `stats` on the line cadence, crosses two boundaries in one advance,
+/// and drains with heartbeats to the `summary`.
+#[test]
+fn served_stream_is_pinned() {
+    let input = r#"{"origin": 0, "release": 12.0, "work": 1.0}
+{"origin": 7, "work": 1.0}
+not json at all
+{"origin": 1, "release": 13.0, "work": 20.0}
+{"origin": 0, "release": 13.0, "work": 2.0, "up": 0.5, "dn": 0.25}
+{"origin": 0, "work": 1.0, "colour": "red"}
+{"origin": 1, "release": 13.0, "work": 3.0}
+{"origin": 1, "release": 13.5, "work": 1.0}
+{"type": "platform", "op": "add-cloud", "speed": 2.0}
+{"type": "platform", "op": "remove-edge", "unit": 9}
+{"origin": 0, "release": 48.0, "work": 1.0}
+{"origin": 1, "work": 0.5, "up": 0.25, "dn": 0.25}
+"#;
+    let want = r#"{"type":"hello","policy":"ssf-edf","edges":2,"clouds":2,"preloaded":0,"heartbeat":5,"stats_every":3}
+{"type":"admit","line":1,"job":0,"release":12}
+{"type":"reject","line":2,"error":"job 1 originates from nonexistent edge unit 7","code":"origin-out-of-range","field":"origin"}
+{"type":"reject","line":3,"error":"expected '{' at byte 0","code":"parse-error"}
+{"type":"stats","v":4,"line":3,"now":0,"submitted":1,"completed":0,"unfinished":1,"pending":0,"running":0,"platform_version":1,"edges":2,"clouds":2,"tiers":1,"max_stretch":0,"mean_stretch":0,"events":0,"decides":0,"decide_skips":0,"admitted":1,"shed":0,"rejected":2,"admitted_delta":1,"shed_delta":0,"completed_delta":0}
+{"type":"heartbeat","v":4,"now":12,"submitted":1,"completed":0,"unfinished":1,"pending":1,"running":1,"platform_version":1,"edges":2,"clouds":2,"tiers":1,"max_stretch":0,"mean_stretch":0,"events":1,"decides":1,"decide_skips":0,"admitted":1,"shed":0,"rejected":2,"admitted_delta":1,"shed_delta":0,"completed_delta":0}
+{"type":"completion","job":0,"target":"cloud:0","release":12,"completion":13,"response":1,"stretch":1}
+{"type":"admit","line":4,"job":1,"release":13}
+{"type":"admit","line":5,"job":2,"release":13}
+{"type":"reject","line":6,"error":"unknown field \"colour\"","code":"unknown-field","field":"colour"}
+{"type":"stats","v":4,"line":6,"now":13,"submitted":3,"completed":1,"unfinished":2,"pending":0,"running":0,"platform_version":1,"edges":2,"clouds":2,"tiers":1,"max_stretch":1,"mean_stretch":1,"events":2,"decides":1,"decide_skips":1,"admitted":3,"shed":0,"rejected":3,"admitted_delta":2,"shed_delta":0,"completed_delta":1}
+{"type":"admit","line":7,"job":3,"release":13}
+{"type":"shed","line":8,"reason":"max-pending","unfinished":3}
+{"type":"platform-ok","line":9,"op":"add-cloud","version":2,"edges":2,"clouds":3}
+{"type":"stats","v":4,"line":9,"now":13.5,"submitted":4,"completed":1,"unfinished":3,"pending":3,"running":2,"platform_version":2,"edges":2,"clouds":3,"tiers":1,"max_stretch":1,"mean_stretch":1,"events":4,"decides":2,"decide_skips":2,"admitted":4,"shed":1,"rejected":3,"admitted_delta":1,"shed_delta":1,"completed_delta":0}
+{"type":"reject","line":10,"error":"unknown edge unit 9","code":"unknown-edge","field":"op"}
+{"type":"completion","job":3,"target":"cloud:2","release":13,"completion":15,"response":2,"stretch":1.3333333333333333}
+{"type":"heartbeat","v":4,"now":15,"submitted":4,"completed":2,"unfinished":2,"pending":2,"running":2,"platform_version":2,"edges":2,"clouds":3,"tiers":1,"max_stretch":1.3333333333333333,"mean_stretch":1.1666666666666665,"events":6,"decides":4,"decide_skips":2,"admitted":4,"shed":1,"rejected":4,"admitted_delta":3,"shed_delta":1,"completed_delta":2}
+{"type":"completion","job":2,"target":"cloud:0","release":13,"completion":15.75,"response":2.75,"stretch":1.5714285714285714}
+{"type":"heartbeat","v":4,"now":20,"submitted":4,"completed":3,"unfinished":1,"pending":1,"running":1,"platform_version":2,"edges":2,"clouds":3,"tiers":1,"max_stretch":1.5714285714285714,"mean_stretch":1.3015873015873014,"events":9,"decides":5,"decide_skips":4,"admitted":4,"shed":1,"rejected":4,"admitted_delta":0,"shed_delta":0,"completed_delta":1}
+{"type":"completion","job":1,"target":"cloud:2","release":13,"completion":25,"response":12,"stretch":1.2}
+{"type":"admit","line":11,"job":4,"release":48}
+{"type":"admit","line":12,"job":5,"release":25}
+{"type":"stats","v":4,"line":12,"now":25,"submitted":6,"completed":4,"unfinished":2,"pending":0,"running":0,"platform_version":2,"edges":2,"clouds":3,"tiers":1,"max_stretch":1.5714285714285714,"mean_stretch":1.276190476190476,"events":10,"decides":5,"decide_skips":5,"admitted":6,"shed":1,"rejected":4,"admitted_delta":2,"shed_delta":0,"completed_delta":3}
+{"type":"heartbeat","v":4,"now":25,"submitted":6,"completed":4,"unfinished":2,"pending":1,"running":1,"platform_version":2,"edges":2,"clouds":3,"tiers":1,"max_stretch":1.5714285714285714,"mean_stretch":1.276190476190476,"events":11,"decides":6,"decide_skips":5,"admitted":6,"shed":1,"rejected":4,"admitted_delta":2,"shed_delta":0,"completed_delta":1}
+{"type":"completion","job":5,"target":"edge","release":25,"completion":25.625,"response":0.625,"stretch":1}
+{"type":"heartbeat","v":4,"now":30,"submitted":6,"completed":5,"unfinished":1,"pending":0,"running":0,"platform_version":2,"edges":2,"clouds":3,"tiers":1,"max_stretch":1.5714285714285714,"mean_stretch":1.2209523809523808,"events":13,"decides":7,"decide_skips":6,"admitted":6,"shed":1,"rejected":4,"admitted_delta":0,"shed_delta":0,"completed_delta":1}
+{"type":"heartbeat","v":4,"now":35,"submitted":6,"completed":5,"unfinished":1,"pending":0,"running":0,"platform_version":2,"edges":2,"clouds":3,"tiers":1,"max_stretch":1.5714285714285714,"mean_stretch":1.2209523809523808,"events":14,"decides":7,"decide_skips":7,"admitted":6,"shed":1,"rejected":4,"admitted_delta":0,"shed_delta":0,"completed_delta":0}
+{"type":"heartbeat","v":4,"now":40,"submitted":6,"completed":5,"unfinished":1,"pending":0,"running":0,"platform_version":2,"edges":2,"clouds":3,"tiers":1,"max_stretch":1.5714285714285714,"mean_stretch":1.2209523809523808,"events":15,"decides":7,"decide_skips":8,"admitted":6,"shed":1,"rejected":4,"admitted_delta":0,"shed_delta":0,"completed_delta":0}
+{"type":"heartbeat","v":4,"now":45,"submitted":6,"completed":5,"unfinished":1,"pending":0,"running":0,"platform_version":2,"edges":2,"clouds":3,"tiers":1,"max_stretch":1.5714285714285714,"mean_stretch":1.2209523809523808,"events":16,"decides":7,"decide_skips":9,"admitted":6,"shed":1,"rejected":4,"admitted_delta":0,"shed_delta":0,"completed_delta":0}
+{"type":"completion","job":4,"target":"cloud:2","release":48,"completion":48.5,"response":0.5,"stretch":1}
+{"type":"summary","now":48.5,"lines":12,"admitted":6,"shed":1,"rejected":4,"completed":6,"max_stretch":1.5714285714285714,"mean_stretch":1.1841269841269841,"events":18}
+"#;
+    let cfg = ServeConfig {
+        heartbeat: 5.0,
+        max_pending: Some(3),
+        stats_every: Some(3),
+        ..ServeConfig::default()
+    };
+    let mut out = Vec::new();
+    serve(&platform(), &cfg, Cursor::new(input), &mut out, None).unwrap();
+    let got = String::from_utf8(out).unwrap();
+    assert_eq!(
+        got.lines().collect::<Vec<_>>(),
+        want.lines().collect::<Vec<_>>()
+    );
+}
+
 #[test]
 fn serve_binary_round_trips_ndjson() {
     use std::io::Write;
@@ -683,11 +754,14 @@ fn serve_binary_round_trips_ndjson() {
 
 #[test]
 fn serve_rejects_bad_flags_with_usage_exit_code() {
-    let out = Command::new(env!("CARGO_BIN_EXE_mmsec"))
-        .args(["serve", "--instance", "x.txt", "--hartbeat", "5"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    for bad in [["--hartbeat", "5"], ["--speedup", "2"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mmsec"))
+            .args(["serve", "--instance", "x.txt"])
+            .args(bad)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+    }
 
     // Missing instance file is an I/O error: exit 3.
     let out = Command::new(env!("CARGO_BIN_EXE_mmsec"))

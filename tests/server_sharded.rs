@@ -216,6 +216,85 @@ not json at all
     assert_eq!(tagged, plain, "tagged stream is not byte-identical");
 }
 
+/// The whole output of a one-shard connection for one fixed input, byte
+/// for byte: a `spec` record, a bad `spec` (its tenant then gets the
+/// default platform), two tenants' admits, a mutation, an unknown-origin
+/// reject, completions, a heartbeat, both summaries and the
+/// `server-summary`. One shard and no wall-clock beats make the merged
+/// order deterministic.
+#[test]
+fn sharded_stream_is_pinned() {
+    let input = r#"{"tenant": "a", "type": "spec", "edges": 2, "clouds": 1, "cloud-speed": 2.0}
+{"tenant": "a", "origin": 1, "release": 0.5, "work": 2.0}
+{"tenant": "b", "type": "spec", "edges": 0}
+{"tenant": "b", "origin": 0, "release": 1.0, "work": 1.0, "up": 0.5}
+{"tenant": "a", "type": "platform", "op": "add-cloud", "speed": 1.0}
+{"tenant": "b", "origin": 1, "release": 2.0, "work": 3.0}
+{"tenant": "a", "origin": 0, "release": 12.0, "work": 1.0}
+{"tenant": "b", "origin": 5, "release": 2.5, "work": 1.0}
+"#;
+    let want = r#"{"type":"server-hello","shards":1,"policy":"ssf-edf"}
+{"type":"spec-ok","tenant":"a","edges":2,"clouds":1}
+{"type":"hello","tenant":"a","policy":"ssf-edf","edges":2,"clouds":1,"preloaded":0,"heartbeat":10}
+{"type":"admit","tenant":"a","line":1,"job":0,"release":0.5}
+{"type":"reject","tenant":"b","error":"a platform needs at least one edge","code":"bad-value","field":"edges"}
+{"type":"hello","tenant":"b","policy":"ssf-edf","edges":2,"clouds":2,"preloaded":0,"heartbeat":10}
+{"type":"admit","tenant":"b","line":1,"job":0,"release":1}
+{"type":"platform-ok","tenant":"a","line":2,"op":"add-cloud","version":2,"edges":2,"clouds":2}
+{"type":"admit","tenant":"b","line":2,"job":1,"release":2}
+{"type":"completion","tenant":"a","job":0,"target":"cloud:0","release":0.5,"completion":1.5,"response":1,"stretch":1}
+{"type":"admit","tenant":"a","line":3,"job":1,"release":12}
+{"type":"completion","tenant":"b","job":0,"target":"cloud:0","release":1,"completion":2.5,"response":1.5,"stretch":1}
+{"type":"reject","tenant":"b","line":3,"error":"job 2 originates from nonexistent edge unit 5","code":"origin-out-of-range","field":"origin"}
+{"type":"heartbeat","tenant":"a","v":4,"now":10,"submitted":2,"completed":1,"unfinished":1,"pending":0,"running":0,"platform_version":2,"edges":2,"clouds":2,"tiers":1,"max_stretch":1,"mean_stretch":1,"events":2,"decides":2,"decide_skips":0,"admitted":2,"shed":0,"rejected":0,"admitted_delta":2,"shed_delta":0,"completed_delta":1}
+{"type":"completion","tenant":"a","job":1,"target":"cloud:0","release":12,"completion":12.5,"response":0.5,"stretch":1}
+{"type":"summary","tenant":"a","now":12.5,"lines":3,"admitted":2,"shed":0,"rejected":0,"completed":2,"max_stretch":1,"mean_stretch":1,"events":4}
+{"type":"completion","tenant":"b","job":1,"target":"cloud:1","release":2,"completion":5,"response":3,"stretch":1}
+{"type":"summary","tenant":"b","now":5,"lines":3,"admitted":2,"shed":0,"rejected":1,"completed":2,"max_stretch":1,"mean_stretch":1,"events":5}
+{"type":"server-summary","lines":8,"admitted":4,"shed":0,"rejected":2,"completed":4,"tenants":2}
+"#;
+    let (lines, _) = run_lines(&platform(), &server_cfg(1), input);
+    assert_eq!(lines, want.lines().collect::<Vec<_>>());
+}
+
+#[test]
+fn a_panicking_lane_fails_alone() {
+    // The platform of `mmsec gen random --n 0 --seed 7`. Tenant "bad"'s
+    // job overflows SRPT's forecasts to an infinite time, which panics
+    // inside the policy when the lane drains at EOF. Only that lane may
+    // fail: "good" shares its shard and must still be served in full.
+    let spec = PlatformSpec::builder()
+        .edges(vec![0.1; 10])
+        .edges(vec![0.5; 10])
+        .cloud_pool(20)
+        .build();
+    let inst = Instance::new(spec, vec![]).unwrap();
+    let cfg = ServerConfig {
+        serve: ServeConfig {
+            policy: PolicyKind::Srpt,
+            ..ServeConfig::default()
+        },
+        ..server_cfg(1)
+    };
+    let input = r#"{"tenant":"good","origin":0,"release":0,"work":1}
+{"tenant":"bad","origin":0,"release":1e308,"work":1e308}
+{"tenant":"good","origin":1,"release":1,"work":2}
+"#;
+    let (lines, summary) = run_lines(&inst, &cfg, input);
+    let recs: Vec<_> = lines.iter().map(|l| parse_object(l).unwrap()).collect();
+    let of = |tenant: &str, kind: &str| {
+        recs.iter()
+            .filter(|r| txt(r, "tenant") == Some(tenant) && kind_of(r) == kind)
+            .count()
+    };
+    assert_eq!(of("good", "completion"), 2);
+    assert_eq!(of("good", "summary"), 1);
+    assert_eq!(of("bad", "error"), 1);
+    assert_eq!(of("bad", "summary"), 0);
+    assert_eq!(summary.completed, 2);
+    assert_eq!(summary.tenants, 2);
+}
+
 #[test]
 fn socket_listener_serves_one_connection_end_to_end() {
     // Tenant "a" opens with a spec record; untagged lines, one of them
@@ -380,7 +459,7 @@ proptest! {
         }
 
         let cfg = ServerConfig {
-            serve: ServeConfig { ..clone_cfg(&serve_cfg) },
+            serve: serve_cfg,
             shards,
             heartbeat_ms: 0,
             ..ServerConfig::default()
@@ -400,7 +479,7 @@ proptest! {
             let mut solo = Vec::new();
             serve(
                 &inst,
-                &clone_cfg(&serve_cfg),
+                &serve_cfg,
                 Cursor::new(script.lines.join("\n")),
                 &mut solo,
                 None,
@@ -412,19 +491,5 @@ proptest! {
                 "tenant {} diverged from its solo session", script.name
             );
         }
-    }
-}
-
-/// `ServeConfig` carries no `Clone` derive (it holds engine options by
-/// value); rebuild the fields the tests vary.
-fn clone_cfg(cfg: &ServeConfig) -> ServeConfig {
-    ServeConfig {
-        policy: cfg.policy,
-        seed: cfg.seed,
-        engine: cfg.engine,
-        heartbeat: cfg.heartbeat,
-        max_pending: cfg.max_pending,
-        speedup: cfg.speedup,
-        stats_every: cfg.stats_every,
     }
 }
