@@ -21,14 +21,18 @@
 //!   record, or the server's default platform). Workers never share
 //!   sessions and sessions never cross threads. A lane that fails (an
 //!   engine error, or a panic inside the lane) is torn down alone: its
-//!   tenant gets one `error` record and the worker keeps serving the
-//!   shard's other tenants.
-//! * The **merger** owns the output half: it drains the connection's one
-//!   merge channel, interleaves it with `server-heartbeat` records
-//!   (strictly monotone `seq`/`wall_ms`), and closes the stream with one
-//!   `server-summary`. Every shard and the router send on a clone of the
-//!   channel's sender and drop it once done with the connection; the
-//!   channel disconnecting is the end of the stream.
+//!   tenant gets one `error` record, its later lines `lane-failed`
+//!   rejects, and the worker keeps serving the shard's other tenants.
+//!   A worker batches a connection's records while its input queue holds
+//!   more of that connection's lines, and sends them when the queue runs
+//!   empty or the next line belongs to another connection.
+//! * The **merger** owns the output half: it blocks on the connection's
+//!   one merge channel, writes what arrives, interleaves
+//!   `server-heartbeat` records (strictly monotone `seq`/`wall_ms`), and
+//!   closes the stream with one `server-summary`. Every shard and the
+//!   router send on a clone of the channel's sender and drop it once done
+//!   with the connection; the channel disconnecting is the end of the
+//!   stream.
 //!
 //! Backpressure sheds rather than blocks at three levels: per-lane
 //! `--max-pending` (inside the lane, deterministic), per-shard

@@ -296,6 +296,50 @@ fn a_panicking_lane_fails_alone() {
 }
 
 #[test]
+fn a_failed_tenant_stays_failed() {
+    // Tenant "bad" opens on its own one-edge platform; its second line
+    // overflows SRPT's forecasts, so its lane panics on the third. The
+    // fourth must not open a new lane on the default platform (a second
+    // `hello`, job ids from 0 again, the tenant counted twice): it gets a
+    // `lane-failed` reject carrying the tenant's next line number.
+    let cfg = ServerConfig {
+        serve: ServeConfig {
+            policy: PolicyKind::Srpt,
+            ..ServeConfig::default()
+        },
+        ..server_cfg(1)
+    };
+    let input = r#"{"tenant":"bad","type":"spec","edges":1,"clouds":1,"edge-speed":0.1}
+{"tenant":"bad","origin":0,"release":0,"work":1e308}
+{"tenant":"bad","origin":0,"release":1,"work":1}
+{"tenant":"bad","origin":1,"release":2,"work":1}
+"#;
+    let (lines, summary) = run_lines(&platform(), &cfg, input);
+    let recs: Vec<_> = lines.iter().map(|l| parse_object(l).unwrap()).collect();
+    let of = |kind: &str| -> Vec<&Vec<(String, Value)>> {
+        recs.iter()
+            .filter(|r| kind_of(r) == kind && txt(r, "tenant") == Some("bad"))
+            .collect()
+    };
+    let hello = of("hello");
+    assert_eq!(hello.len(), 1);
+    assert_eq!(num(hello[0], "edges"), 1.0);
+    assert_eq!(of("admit").len(), 1);
+    assert_eq!(of("error").len(), 1);
+    let reject = of("reject");
+    assert_eq!(reject.len(), 1);
+    assert_eq!(txt(reject[0], "code"), Some("lane-failed"));
+    assert_eq!(num(reject[0], "line"), 3.0);
+    let total = recs.last().unwrap();
+    assert_eq!(kind_of(total), "server-summary");
+    assert_eq!(num(total, "tenants"), 1.0);
+    assert_eq!(num(total, "rejected"), 1.0);
+    assert_eq!(summary.tenants, 1);
+    assert_eq!(summary.admitted, 1);
+    assert_eq!(summary.rejected, 1);
+}
+
+#[test]
 fn socket_listener_serves_one_connection_end_to_end() {
     // Tenant "a" opens with a spec record; untagged lines, one of them
     // malformed, go to the default tenant.
