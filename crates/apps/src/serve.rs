@@ -58,6 +58,11 @@
 //! sharded server (`crate::server`) keeps one *tagged* lane per tenant —
 //! a tagged lane injects a `"tenant"` field right after `"type"` in every
 //! record and is otherwise byte-identical to a single-session run.
+//!
+//! A lane holds only the jobs admitted since it was last idle: before
+//! each submission it calls [`Session::retire_finished`], which drops
+//! the finished jobs once none is left unfinished. Job ids in `admit`
+//! and `completion` records keep counting across those points.
 
 use crate::cli::CliError;
 use crate::ndjson::{parse_object_into, ObjBuf, ObjWriter, Value};
@@ -736,6 +741,9 @@ impl<'a> Lane<'a> {
             req.up,
             req.dn,
         );
+        // An idle lane forgets the jobs it finished (their completions
+        // are already written), so its memory follows its busy period.
+        self.session.retire_finished();
         Ok(match self.session.submit(job) {
             Ok(job) => Ack::Admit { job, release },
             // Refused (unknown or removed origin): the field is the origin.

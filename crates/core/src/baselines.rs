@@ -39,6 +39,10 @@ impl OnlineScheduler for Fcfs {
         self.proj = None;
     }
 
+    fn on_retire(&mut self, _instance: &Instance) {
+        self.chosen.clear();
+    }
+
     fn decide(&mut self, view: &SimView<'_>, out: &mut DirectiveBuffer) {
         // Streaming sessions admit jobs after `on_start`.
         if self.chosen.len() < view.jobs.len() {
@@ -122,6 +126,10 @@ impl OnlineScheduler for CloudOnly {
     fn on_start(&mut self, instance: &Instance) {
         self.chosen = vec![None; instance.num_jobs()];
         self.proj = None;
+    }
+
+    fn on_retire(&mut self, _instance: &Instance) {
+        self.chosen.clear();
     }
 
     fn decide(&mut self, view: &SimView<'_>, out: &mut DirectiveBuffer) {
@@ -211,6 +219,10 @@ impl OnlineScheduler for RandomSticky {
 
     fn on_start(&mut self, instance: &Instance) {
         self.chosen = vec![None; instance.num_jobs()];
+    }
+
+    fn on_retire(&mut self, _instance: &Instance) {
+        self.chosen.clear();
     }
 
     fn decide(&mut self, view: &SimView<'_>, out: &mut DirectiveBuffer) {

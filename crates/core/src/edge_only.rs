@@ -121,6 +121,11 @@ impl OnlineScheduler for EdgeOnly {
         self.order.clear();
     }
 
+    fn on_retire(&mut self, _instance: &Instance) {
+        self.deadlines.clear();
+        self.order.clear();
+    }
+
     fn decide(&mut self, view: &SimView<'_>, out: &mut DirectiveBuffer) {
         // Streaming sessions admit jobs after `on_start`.
         if self.deadlines.len() < view.jobs.len() {

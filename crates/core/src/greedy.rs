@@ -35,6 +35,10 @@ impl OnlineScheduler for Greedy {
         self.round = None;
     }
 
+    /// Keeps the round: it is shaped by the platform alone, which a
+    /// retire keeps, and `RoundState::reset` re-sizes its per-job table.
+    fn on_retire(&mut self, _instance: &Instance) {}
+
     fn decide(&mut self, view: &SimView<'_>, out: &mut DirectiveBuffer) {
         let round = match self.round.as_mut() {
             Some(r) => {

@@ -215,10 +215,11 @@ impl RoundState {
         for k in self.touched_list.drain(..) {
             self.touched[k.0] = false;
         }
-        if self.contribution.len() != view.jobs.len() {
-            self.contribution.clear();
-            self.contribution.resize(view.jobs.len(), None);
-        }
+        // Every entry is `None` again (the contributors loop above), so
+        // following the session's job count — grown by submissions,
+        // emptied by a retire — is a plain resize: O(new jobs), not
+        // O(jobs).
+        self.contribution.resize(view.jobs.len(), None);
         self.gather(view);
     }
 
@@ -1111,6 +1112,108 @@ mod tests {
                                 tag
                             );
                         }
+                    }
+                }
+            }
+
+            /// A round reset after the session's job count changed —
+            /// grown by submissions, or emptied by a retire and refilled —
+            /// is the round `RoundState::new` builds on the same view:
+            /// same per-job contribution table and backlog, same options
+            /// for every pending job, before and after a claim.
+            #[test]
+            fn reset_after_the_job_count_changed_matches_a_fresh_round(
+                job_descs in proptest::collection::vec(
+                    (0.5f64..8.0, 0.0f64..3.0, 0.0f64..3.0, 0u8..2, 0u8..4),
+                    2..16,
+                ),
+                split in 0.0f64..1.0,
+                before_first in any::<bool>(),
+                claim_pick in 0usize..16,
+            ) {
+                let spec = PlatformSpec::builder()
+                    .edges(vec![1.0, 0.5])
+                    .clouds([1.0, 2.0, 2.0])
+                    .build();
+                let platform = PlatformState::new(spec.clone());
+                // Jobs in every commitment/progress state, all released.
+                let build = |descs: &[(f64, f64, f64, u8, u8)]| {
+                    let jobs: Vec<Job> = descs
+                        .iter()
+                        .map(|&(work, up, dn, origin, _)| {
+                            Job::new(EdgeId(origin as usize), 0.0, work, up, dn)
+                        })
+                        .collect();
+                    let inst = Instance::new(spec.clone(), jobs).unwrap();
+                    let states: Vec<JobState> = descs
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(work, up, _, _, kind))| {
+                            let mut st = JobState { released: true, ..JobState::default() };
+                            match kind {
+                                1 => {
+                                    st.committed = Some(Target::Edge);
+                                    st.work_done = 0.5 * work;
+                                }
+                                2 => {
+                                    st.committed = Some(Target::Cloud(CloudId(i % 3)));
+                                    st.up_done = 0.5 * up;
+                                }
+                                3 => {
+                                    st.committed = Some(Target::Cloud(CloudId(i % 3)));
+                                    st.up_done = up;
+                                    st.work_done = 0.25 * work;
+                                }
+                                _ => {}
+                            }
+                            st
+                        })
+                        .collect();
+                    (inst, states)
+                };
+                // The round first serves a prefix (growth) or the whole
+                // list (a retire that leaves a shorter list next).
+                let cut = 1 + (split * (job_descs.len() - 1) as f64) as usize;
+                let (first, second) = if before_first {
+                    (&job_descs[..cut], &job_descs[..])
+                } else {
+                    (&job_descs[..], &job_descs[..cut])
+                };
+                let (inst1, states1) = build(first);
+                let arena1 = JobArena::from_states(&inst1, &states1);
+                let pending1 = PendingSet::from_states(&inst1, &states1);
+                let view1 = SimView::new(&inst1, Time::new(1.0), &arena1, &pending1, &platform);
+                let mut round = RoundState::new(&view1);
+                let id = JobId(claim_pick % inst1.num_jobs());
+                if let Some(opt) = round.best_startable(&view1, id) {
+                    round.claim_option(&view1, id, &opt);
+                }
+
+                let (inst2, states2) = build(second);
+                let arena2 = JobArena::from_states(&inst2, &states2);
+                let pending2 = PendingSet::from_states(&inst2, &states2);
+                let view2 = SimView::new(&inst2, Time::new(2.0), &arena2, &pending2, &platform);
+                round.reset(&view2);
+                let mut fresh = RoundState::new(&view2);
+                prop_assert_eq!(&round.contribution, &fresh.contribution);
+                prop_assert_eq!(&round.backlog, &fresh.backlog);
+                prop_assert_eq!(&round.touched, &fresh.touched);
+                let id = JobId(claim_pick % inst2.num_jobs());
+                for claim in [false, true] {
+                    if claim {
+                        if let Some(opt) = fresh.best_startable(&view2, id) {
+                            round.claim_option(&view2, id, &opt);
+                            fresh.claim_option(&view2, id, &opt);
+                        }
+                    }
+                    for jid in view2.pending_jobs() {
+                        prop_assert_eq!(
+                            round.best_startable(&view2, jid),
+                            fresh.best_startable(&view2, jid),
+                            "job {:?} diverges (after claim: {})",
+                            jid,
+                            claim
+                        );
                     }
                 }
             }

@@ -112,6 +112,10 @@ impl OnlineScheduler for EveryEvent {
         self.0.on_start(instance);
     }
 
+    fn on_retire(&mut self, instance: &Instance) {
+        self.0.on_retire(instance);
+    }
+
     fn decide(&mut self, view: &SimView<'_>, out: &mut DirectiveBuffer) {
         self.0.decide(view, out);
     }

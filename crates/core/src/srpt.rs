@@ -71,6 +71,10 @@ impl OnlineScheduler for Srpt {
         self.round = None;
     }
 
+    /// Keeps the round: it is shaped by the platform alone, which a
+    /// retire keeps, and `RoundState::reset` re-sizes its per-job table.
+    fn on_retire(&mut self, _instance: &Instance) {}
+
     /// Repeatedly picks the globally earliest-completing (job, target)
     /// pair with a *lazy* min-heap: within one round, every claim only
     /// pushes estimates later (the projection's free times move forward,

@@ -14,6 +14,14 @@
 //! EDF is *not* optimal on this platform (the paper gives a two-job
 //! counterexample, reproduced in the tests below), so the binary search
 //! may settle above the true optimum — SSF-EDF remains a heuristic.
+//!
+//! A probe's placement depends on its deadlines only through their
+//! order: the target rule and the projection never read a deadline. So
+//! within one replan, a probe whose EDF id order matches the last placed
+//! one reuses its targets and forecast completions and only re-checks
+//! them against the new deadlines; most of a binary search's probes
+//! differ from their neighbours only in the deadline values. The probes
+//! reuse one set of buffers, so a warm replan allocates nothing.
 
 use mmsec_platform::obs::Event as ObsEvent;
 use mmsec_platform::projection::Projection;
@@ -48,6 +56,22 @@ pub struct SsfEdf {
     platform_version: u64,
     /// Sink for `BinarySearchProbe` events, when attached.
     observer: Option<ObserverHandle>,
+    /// Reused storage of the replan's feasibility probes.
+    probes: Probes,
+}
+
+/// Reused storage of one replan's feasibility probes.
+#[derive(Clone, Debug, Default)]
+struct Probes {
+    /// The latest probe's pending jobs as `(deadline, id)`, sorted: its
+    /// EDF order.
+    order: Vec<(Time, JobId)>,
+    /// Target and forecast completion per position of the last order
+    /// placed in full during the current replan (empty at its start).
+    placed: Vec<(JobId, Target, Time)>,
+    /// Forecast profiles, reset before each full placement; dropped in
+    /// `on_start`, since a new run's platform may share the version.
+    proj: Option<Projection>,
 }
 
 impl Default for SsfEdf {
@@ -75,6 +99,7 @@ impl SsfEdf {
             incremental: true,
             platform_version: 0,
             observer: None,
+            probes: Probes::default(),
         }
     }
 
@@ -88,24 +113,59 @@ impl SsfEdf {
         self
     }
 
-    /// Runs one feasibility probe of the stretch binary search and reports
-    /// it to the attached observer, if any.
-    fn probe(&self, view: &SimView<'_>, s: f64) -> Attempt {
-        let attempt = self.try_stretch(view, s);
+    /// One feasibility probe of the stretch binary search: EDF placement
+    /// under target stretch `s`, left in `self.probes` (see the module
+    /// docs for when the placement is reused). Returns whether every
+    /// deadline was met and reports the probe to the attached observer,
+    /// if any.
+    fn probe(&mut self, view: &SimView<'_>, s: f64) -> bool {
+        let p = &mut self.probes;
+        p.order.clear();
+        p.order.extend(
+            view.pending_jobs()
+                .map(|id| (view.deadline_under_stretch(id, s), id)),
+        );
+        // Ids are unique, so the unstable sort orders exactly as a
+        // stable one would, without a scratch buffer.
+        p.order.sort_unstable();
+        let same_order = p.placed.len() == p.order.len()
+            && p.placed
+                .iter()
+                .zip(&p.order)
+                .all(|(&(placed, _, _), &(_, id))| placed == id);
+        if !same_order {
+            place_in_order(view, &p.order, &mut p.placed, &mut p.proj);
+        }
+        let feasible = p
+            .placed
+            .iter()
+            .zip(&p.order)
+            .all(|(&(_, _, completion), &(d, _))| completion.approx_le(d));
         if let Some(obs) = &self.observer {
             obs.with(|o| {
                 o.on_event(&ObsEvent::BinarySearchProbe {
                     t: view.now,
                     stretch: s,
-                    feasible: attempt.feasible,
+                    feasible,
                 })
             });
         }
-        attempt
+        feasible
     }
 
-    /// EDF placement under target stretch `s`: returns the plan and
-    /// whether every deadline was met.
+    /// Adopts the latest probe's plan: its deadlines and targets.
+    fn adopt_probe(&mut self) {
+        let p = &self.probes;
+        for (&(deadline, id), &(_, target, _)) in p.order.iter().zip(&p.placed) {
+            self.deadlines[id.0] = Some(deadline);
+            self.targets[id.0] = Some(target);
+        }
+    }
+
+    /// The probe as first written, kept as the oracle of [`Self::probe`]:
+    /// EDF placement under target stretch `s` on a fresh projection,
+    /// returning the plan and whether every deadline was met.
+    #[cfg(test)]
     fn try_stretch(&self, view: &SimView<'_>, s: f64) -> Attempt {
         let spec = view.spec();
         let mut jobs: Vec<(Time, JobId)> = view
@@ -133,7 +193,9 @@ impl SsfEdf {
         Attempt { feasible, plan }
     }
 
-    /// Full recomputation at a release event.
+    /// Full recomputation at a release event. Every probe covers the
+    /// same pending jobs, so adopting a later plan overwrites all of an
+    /// earlier one: the plan left is the last one adopted.
     fn replan(&mut self, view: &SimView<'_>) {
         // Lower bound: the stretch each pending job is already forced to
         // (finishing as early as physically possible, alone).
@@ -141,57 +203,75 @@ impl SsfEdf {
         for id in view.pending_jobs() {
             lo = lo.max(view.forced_stretch(id));
         }
+        // Placements of an earlier replan saw another view.
+        self.probes.placed.clear();
 
-        let best_plan: Attempt;
-        let at_lo = self.probe(view, lo);
-        if at_lo.feasible {
-            best_plan = at_lo;
-        } else {
-            // Find a feasible upper bound by doubling.
-            let mut hi = lo.max(1.0) * 2.0;
-            let mut found = None;
-            for _ in 0..64 {
-                let attempt = self.probe(view, hi);
-                if attempt.feasible {
-                    found = Some((hi, attempt));
-                    break;
-                }
-                hi *= 2.0;
+        if self.probe(view, lo) {
+            self.adopt_probe();
+            return;
+        }
+        // Find a feasible upper bound by doubling.
+        let mut hi = lo.max(1.0) * 2.0;
+        let mut found = false;
+        for _ in 0..64 {
+            if self.probe(view, hi) {
+                found = true;
+                break;
             }
-            match found {
-                None => {
-                    // Pathological: never feasible (EDF anomaly). Fall back
-                    // to the last attempt's ordering as a best effort.
-                    best_plan = self.probe(view, hi);
-                }
-                Some((mut hi, mut attempt)) => {
-                    let mut lo = lo;
-                    while hi - lo > self.eps_rel * lo {
-                        let mid = 0.5 * (lo + hi);
-                        let mid_attempt = self.probe(view, mid);
-                        if mid_attempt.feasible {
-                            hi = mid;
-                            attempt = mid_attempt;
-                        } else {
-                            lo = mid;
-                        }
-                    }
-                    if self.alpha != 1.0 {
-                        attempt = self.probe(view, self.alpha * hi);
-                    }
-                    best_plan = attempt;
-                }
+            hi *= 2.0;
+        }
+        if !found {
+            // Pathological: never feasible (EDF anomaly). Fall back to
+            // the last attempt's ordering as a best effort.
+            self.probe(view, hi);
+            self.adopt_probe();
+            return;
+        }
+        self.adopt_probe();
+        while hi - lo > self.eps_rel * lo {
+            let mid = 0.5 * (lo + hi);
+            if self.probe(view, mid) {
+                hi = mid;
+                self.adopt_probe();
+            } else {
+                lo = mid;
             }
         }
-
-        let plan = best_plan.plan;
-        for entry in plan {
-            self.deadlines[entry.id.0] = Some(entry.deadline);
-            self.targets[entry.id.0] = Some(entry.target);
+        if self.alpha != 1.0 {
+            self.probe(view, self.alpha * hi);
+            self.adopt_probe();
         }
     }
 }
 
+/// Places `order`'s jobs one by one on fresh forecast profiles, each on
+/// its [`choose_target`] pick, recording target and forecast completion
+/// per position in `placed`.
+fn place_in_order(
+    view: &SimView<'_>,
+    order: &[(Time, JobId)],
+    placed: &mut Vec<(JobId, Target, Time)>,
+    proj: &mut Option<Projection>,
+) {
+    let spec = view.spec();
+    let proj = match proj {
+        Some(p) => {
+            p.reset_for(view);
+            p
+        }
+        None => proj.insert(Projection::from_view(view)),
+    };
+    placed.clear();
+    for &(_, id) in order {
+        let job = view.job(id);
+        let target = choose_target(proj, view, id, spec);
+        let vols = view.jobs.volumes_on(id.0, job, target);
+        let completion = proj.place(job, vols, target, spec, view.now);
+        placed.push((id, target, completion));
+    }
+}
+
+#[cfg(test)]
 struct PlanEntry {
     id: JobId,
     deadline: Time,
@@ -245,6 +325,7 @@ fn choose_target(
     best.map_or(committed.unwrap_or(Target::Edge), |(t, _)| t)
 }
 
+#[cfg(test)]
 struct Attempt {
     feasible: bool,
     plan: Vec<PlanEntry>,
@@ -270,6 +351,13 @@ impl OnlineScheduler for SsfEdf {
     fn on_start(&mut self, instance: &Instance) {
         self.deadlines = vec![None; instance.num_jobs()];
         self.targets = vec![None; instance.num_jobs()];
+        self.order.clear();
+        self.probes.proj = None;
+    }
+
+    fn on_retire(&mut self, _instance: &Instance) {
+        self.deadlines.clear();
+        self.targets.clear();
         self.order.clear();
     }
 
@@ -305,7 +393,8 @@ impl OnlineScheduler for SsfEdf {
                 view.pending_jobs()
                     .map(|id| (self.deadlines[id.0].expect("planned"), id)),
             );
-            self.order.sort();
+            // Unique ids: the unstable sort is the stable order.
+            self.order.sort_unstable();
         } else {
             // Deadlines unchanged since the last call: the order only
             // shrinks by the jobs that completed in between. Newly
@@ -497,6 +586,102 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(a.schedule, b.schedule);
+    }
+
+    mod probe_oracle {
+        use super::super::*;
+        use mmsec_platform::{
+            CloudId, EdgeId, Instance, Job, JobArena, JobState, PendingSet, PlatformSpec,
+            PlatformState,
+        };
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The buffered probe, with its reuse of an unchanged order's
+            /// placement, gives the oracle's verdict and plan: the same
+            /// EDF order and deadlines and the same targets, for every
+            /// probe of a search over jobs in every commitment/progress
+            /// state, with down clouds, on two replans whose instants
+            /// move forwards or backwards.
+            #[test]
+            fn buffered_probes_match_the_oracle(
+                job_descs in proptest::collection::vec(
+                    (0.0f64..4.0, 0.5f64..8.0, 0.0f64..3.0, 0.0f64..3.0, 0u8..2, 0u8..4),
+                    1..12,
+                ),
+                cloud_down in proptest::collection::vec(any::<bool>(), 3),
+                stretches in proptest::collection::vec((1.0f64..40.0, any::<bool>()), 1..10),
+                nows in (4.0f64..6.0, 4.0f64..6.0),
+            ) {
+                let spec = PlatformSpec::builder()
+                    .edges(vec![1.0, 0.5])
+                    .clouds([1.0, 2.0, 2.0])
+                    .build();
+                let jobs: Vec<Job> = job_descs
+                    .iter()
+                    .map(|&(rel, work, up, dn, origin, _)| {
+                        Job::new(EdgeId(origin as usize), rel, work, up, dn)
+                    })
+                    .collect();
+                let inst = Instance::new(spec, jobs).unwrap();
+                let states: Vec<JobState> = job_descs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(_, work, up, _, _, kind))| {
+                        let mut st = JobState { released: true, ..JobState::default() };
+                        match kind {
+                            1 => {
+                                st.committed = Some(Target::Edge);
+                                st.work_done = 0.5 * work;
+                            }
+                            2 => {
+                                st.committed = Some(Target::Cloud(CloudId(i % 3)));
+                                st.up_done = 0.5 * up;
+                            }
+                            3 => {
+                                st.committed = Some(Target::Cloud(CloudId(i % 3)));
+                                st.up_done = up;
+                                st.work_done = 0.25 * work;
+                            }
+                            _ => {}
+                        }
+                        st
+                    })
+                    .collect();
+                let mut platform = PlatformState::new(inst.spec.clone());
+                platform.mark_dynamic();
+                for (k, _) in cloud_down.iter().enumerate().filter(|(_, &d)| d) {
+                    platform.fault_cloud_down(CloudId(k));
+                }
+                let arena = JobArena::from_states(&inst, &states);
+                let pending = PendingSet::from_states(&inst, &states);
+                let mut policy = SsfEdf::new();
+                for now in [nows.0, nows.1] {
+                    let view = SimView::new(&inst, Time::new(now), &arena, &pending, &platform);
+                    // A replan starts with no placement to reuse.
+                    policy.probes.placed.clear();
+                    for &(s, nudge) in &stretches {
+                        // A nudged repeat differs only in the deadline
+                        // values, so its order usually matches.
+                        let probes = if nudge { vec![s, s * (1.0 + 1e-6)] } else { vec![s] };
+                        for s in probes {
+                            let feasible = policy.probe(&view, s);
+                            let oracle = policy.try_stretch(&view, s);
+                            prop_assert_eq!(feasible, oracle.feasible, "verdict at stretch {}", s);
+                            let p = &policy.probes;
+                            prop_assert_eq!(p.order.len(), oracle.plan.len());
+                            for (k, entry) in oracle.plan.iter().enumerate() {
+                                prop_assert_eq!(p.order[k], (entry.deadline, entry.id));
+                                prop_assert_eq!(p.placed[k].0, entry.id);
+                                prop_assert_eq!(p.placed[k].1, entry.target, "target of {:?}", entry.id);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

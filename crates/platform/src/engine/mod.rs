@@ -114,6 +114,17 @@ pub trait OnlineScheduler {
     /// Called once before the simulation starts.
     fn on_start(&mut self, _instance: &Instance) {}
 
+    /// Called when a [`Session::retire_finished`] dropped every job the
+    /// session held: all of them had finished, and the next job is
+    /// numbered from 0 again. `instance` holds no jobs; the platform and
+    /// the clock are unchanged. A policy must forget its per-job state
+    /// here. The default calls [`OnlineScheduler::on_start`], the "no
+    /// jobs yet" hook; a policy whose `on_start` also drops
+    /// platform-shaped caches may override this to keep them.
+    fn on_retire(&mut self, instance: &Instance) {
+        self.on_start(instance);
+    }
+
     /// Called at every event. Fills `out` — cleared by the engine before
     /// the call — with the prioritized directive list: jobs omitted stay
     /// paused (keeping progress), jobs whose target changed are re-executed
@@ -125,7 +136,9 @@ pub trait OnlineScheduler {
     /// can exceed the job count the policy sized its state for. Policies
     /// keeping per-job vectors must grow them to `view.jobs.len()` at the
     /// top of `decide` (cheap: a length check per call). Batch runs never
-    /// trigger this path.
+    /// trigger this path. Job ids are dense indices into the session's
+    /// current jobs: after [`OnlineScheduler::on_retire`] they restart
+    /// from 0.
     fn decide(&mut self, view: &SimView<'_>, out: &mut DirectiveBuffer);
 
     /// Offers the policy an observer for its internal events (e.g. SSF-EDF

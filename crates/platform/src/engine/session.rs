@@ -29,6 +29,20 @@
 //! fires at the current virtual time, while its stretch keeps being
 //! measured from the *declared* release date, exactly as a batch run
 //! would have measured it.
+//!
+//! # Retiring finished jobs
+//!
+//! A session that runs indefinitely (a served lane) would otherwise hold
+//! every job it ever admitted. [`Session::retire_finished`] drops them
+//! all at an idle point — when every held job has finished — and keeps
+//! the storage for the jobs to come. Public job ids keep counting: the
+//! ids [`Session::submit`] returns, [`CompletionRecord::job`], observer
+//! events and [`SessionStats::submitted`] are offset by the number of
+//! retired jobs, while the engine and the policy index the held jobs
+//! densely from 0. Relative id order is unchanged, so every tie-break by
+//! id is too, and a retiring session's completions are bit-identical to
+//! a session that never retires (the `session_equivalence` proptest pins
+//! this across the policy registry).
 
 use crate::activity::{DirectiveBuffer, Phase, Target};
 use crate::instance::{Instance, InstanceError};
@@ -138,7 +152,7 @@ pub enum SessionStatus {
 /// [`Session::drain_completions`] calls.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompletionRecord {
-    /// The job.
+    /// The job's public id (retired jobs included in the numbering).
     pub job: JobId,
     /// Origin edge unit.
     pub origin: EdgeId,
@@ -165,7 +179,8 @@ impl CompletionRecord {
 pub struct SessionStats {
     /// Current virtual time.
     pub now: Time,
-    /// Jobs submitted so far (batch construction counts as submission).
+    /// Jobs submitted so far (batch construction counts as submission;
+    /// retired jobs count too).
     pub submitted: usize,
     /// Jobs that have completed.
     pub completed: usize,
@@ -212,6 +227,9 @@ pub struct Session<'a> {
     epoch: u64,
     decided_epoch: u64,
     unfinished: usize,
+    /// Jobs dropped by [`Session::retire_finished`]: the offset between
+    /// a held job's dense index and its public id.
+    retired: usize,
     /// Per-job dynamic state, struct-of-arrays (see [`JobArena`]): the
     /// hot loops below index individual columns so each sweep touches
     /// contiguous memory.
@@ -336,6 +354,7 @@ impl<'a> Session<'a> {
             epoch: 1,
             decided_epoch: 0,
             unfinished: n,
+            retired: 0,
             jobs,
             queue,
             platform,
@@ -375,7 +394,9 @@ impl<'a> Session<'a> {
         session
     }
 
-    /// The instance as the session currently sees it (grows on submit).
+    /// The instance as the session currently sees it: the jobs it holds,
+    /// indexed densely from 0. It grows on submit and is emptied by
+    /// [`Session::retire_finished`].
     pub fn instance(&self) -> &Instance {
         &self.instance
     }
@@ -407,7 +428,8 @@ impl<'a> Session<'a> {
         self.queue.peek_time()
     }
 
-    /// Submits a job to the running session and returns its id.
+    /// Submits a job to the running session and returns its public id
+    /// (see "Retiring finished jobs" in the module docs).
     ///
     /// The job's release event is queued at its declared release date, or
     /// at the current virtual time when that date is already in the past
@@ -418,7 +440,7 @@ impl<'a> Session<'a> {
         // submitted for it are rejected exactly like an out-of-range one.
         if job.origin.0 >= self.platform.spec().num_edge() || !self.platform.edge_live(job.origin) {
             return Err(InstanceError::OriginOutOfRange {
-                job: self.instance.num_jobs(),
+                job: self.retired + self.instance.num_jobs(),
                 origin: job.origin.0,
             });
         }
@@ -443,10 +465,44 @@ impl<'a> Session<'a> {
             self,
             ObsEvent::JobSubmitted {
                 t: self.now,
-                job: id.0,
+                job: self.retired + id.0,
             }
         );
-        Ok(id)
+        Ok(JobId(self.retired + id.0))
+    }
+
+    /// Drops every job the session holds, if all of them have finished;
+    /// otherwise does nothing. The next submitted job is held at index 0,
+    /// and its public id continues after the last one (see "Retiring
+    /// finished jobs" in the module docs).
+    ///
+    /// The job list, per-job state and schedule trace are emptied with
+    /// their capacity kept, and the policy is told through
+    /// [`OnlineScheduler::on_retire`]. The clock, the platform (version
+    /// included), the event queue, the decision epochs, every counter
+    /// [`Session::snapshot`] reports and the livelock cap are kept: each
+    /// retired job's share of the cap moves into its run-long part.
+    /// [`Session::into_outcome`] afterwards covers only the jobs
+    /// submitted since the last retire.
+    pub fn retire_finished(&mut self) {
+        if self.unfinished > 0 || self.jobs.is_empty() {
+            return;
+        }
+        // Nothing unfinished: nothing pending, and no release queued.
+        debug_assert!(self.pending.is_empty());
+        self.retired += self.jobs.len();
+        self.instance.to_mut().jobs.clear();
+        self.jobs.clear();
+        self.skip.clear();
+        self.seen.clear();
+        self.activations.clear();
+        self.prev_activations.clear();
+        self.buf.clear();
+        self.trace.clear();
+        let base = workload_budget(&self.instance, self.faults);
+        self.limit_extra += self.limit_base - base;
+        self.limit_base = base;
+        self.scheduler.get().on_retire(&self.instance);
     }
 
     /// The versioned platform runtime the session executes on: its
@@ -597,7 +653,7 @@ impl<'a> Session<'a> {
                     self,
                     ObsEvent::JobKilled {
                         t: self.now,
-                        job: i,
+                        job: self.retired + i,
                         unit,
                     }
                 );
@@ -690,7 +746,7 @@ impl<'a> Session<'a> {
                 SessionStatus::Blocked => {
                     let pending = (0..self.jobs.len())
                         .filter(|&i| !self.jobs.finished[i])
-                        .map(JobId)
+                        .map(|i| JobId(self.retired + i))
                         .collect();
                     return Err(EngineError::Stalled {
                         time: self.now,
@@ -708,7 +764,7 @@ impl<'a> Session<'a> {
         run.total_time = self.started_wall.elapsed();
         SessionStats {
             now: self.now,
-            submitted: self.instance.num_jobs(),
+            submitted: self.retired + self.instance.num_jobs(),
             completed: self.completed,
             unfinished: self.unfinished,
             pending: self.pending.len(),
@@ -737,7 +793,9 @@ impl<'a> Session<'a> {
         self.completions.drain(..)
     }
 
-    /// Finalizes the session into a batch-style [`RunOutcome`].
+    /// Finalizes the session into a batch-style [`RunOutcome`]. After a
+    /// [`Session::retire_finished`], the schedule covers only the jobs
+    /// submitted since then, indexed from 0.
     pub fn into_outcome(mut self) -> RunOutcome {
         emit!(self, ObsEvent::RunEnd { makespan: self.now });
         let mut stats = self.stats;
@@ -941,7 +999,7 @@ impl<'a> Session<'a> {
                             self,
                             ObsEvent::Restarted {
                                 t: self.now,
-                                job: d.job.0,
+                                job: self.retired + d.job.0,
                                 from: obs_unit(self.instance.job(d.job).origin, t, Phase::Compute),
                                 to: obs_unit(
                                     self.instance.job(d.job).origin,
@@ -1101,7 +1159,7 @@ impl<'a> Session<'a> {
                 emit!(
                     self,
                     ObsEvent::Placed {
-                        job: act.job.0,
+                        job: self.retired + act.job.0,
                         origin: self.instance.job(act.job).origin.0,
                         target: obs_unit(self.instance.job(act.job).origin, act.target, act.phase),
                         cloud: match act.target {
@@ -1149,7 +1207,7 @@ impl<'a> Session<'a> {
                 self.stretch_sum += stretch;
                 self.stretch_max = self.stretch_max.max(stretch);
                 self.completions.push(CompletionRecord {
-                    job: act.job,
+                    job: JobId(self.retired + i),
                     origin: job.origin,
                     target: act.target,
                     release: job.release,
@@ -1160,7 +1218,7 @@ impl<'a> Session<'a> {
                     self,
                     ObsEvent::Completed {
                         t: self.now,
-                        job: act.job.0,
+                        job: self.retired + i,
                         response: (self.now - job.release).seconds(),
                         stretch,
                     }
@@ -1203,7 +1261,7 @@ impl<'a> Session<'a> {
                         self,
                         ObsEvent::JobReleased {
                             t: self.now,
-                            job: id.0,
+                            job: self.retired + id.0,
                         }
                     );
                 }

@@ -873,6 +873,136 @@ mod session {
         assert_eq!(out.schedule.completion[1], Some(Time::new(3.0)));
         assert_eq!(out.schedule.completion[0], Some(Time::new(11.0)));
     }
+
+    #[test]
+    fn retiring_an_idle_session_keeps_ids_and_counters() {
+        /// Counts `on_retire` calls and records the job count it saw.
+        struct Retiring(Vec<usize>);
+        impl OnlineScheduler for Retiring {
+            fn name(&self) -> String {
+                "retiring".into()
+            }
+            fn on_retire(&mut self, instance: &Instance) {
+                self.0.push(instance.num_jobs());
+            }
+            fn decide(&mut self, view: &SimView<'_>, out: &mut DirectiveBuffer) {
+                for j in view.pending_jobs() {
+                    out.push(j, Target::Edge);
+                }
+            }
+        }
+        /// Every job id an observer event carries.
+        struct Ids(Vec<usize>);
+        impl Observer for Ids {
+            fn on_event(&mut self, event: &ObsEvent) {
+                match *event {
+                    ObsEvent::JobSubmitted { job, .. }
+                    | ObsEvent::JobReleased { job, .. }
+                    | ObsEvent::Completed { job, .. } => self.0.push(job),
+                    _ => {}
+                }
+            }
+        }
+        let inst = single_job_instance(1.0, 0.0, 0.0); // edge 0.5: done at 2.
+        let mut policy = Retiring(Vec::new());
+        let mut ids = Ids(Vec::new());
+        let mut session = Simulation::of(&inst)
+            .policy(&mut policy)
+            .observer(&mut ids)
+            .session();
+        session
+            .submit(Job::new(EdgeId(0), 0.5, 1.0, 0.0, 0.0))
+            .unwrap();
+        // Busy: retiring does nothing.
+        session.run_until(Time::new(1.0)).unwrap();
+        session.retire_finished();
+        assert_eq!(session.instance().num_jobs(), 2);
+        session.run_until(Time::new(10.0)).unwrap();
+        let before = session.snapshot();
+        session.retire_finished();
+        // Idle: every job is dropped, the counters are kept.
+        assert_eq!(session.instance().num_jobs(), 0);
+        let after = session.snapshot();
+        assert_eq!(after.submitted, 2);
+        assert_eq!(
+            (after.completed, after.run.events, after.run.decides),
+            (before.completed, before.run.events, before.run.decides)
+        );
+        assert_eq!(after.max_stretch, before.max_stretch);
+        // Ids keep counting; the held job is index 0 again.
+        let id = session
+            .submit(Job::new(EdgeId(0), 20.0, 1.0, 0.0, 0.0))
+            .unwrap();
+        assert_eq!(id, JobId(2));
+        assert_eq!(
+            session.submit(Job::new(EdgeId(3), 20.0, 1.0, 0.0, 0.0)),
+            Err(crate::instance::InstanceError::OriginOutOfRange { job: 3, origin: 3 })
+        );
+        session.drain().unwrap();
+        let jobs: Vec<usize> = session.drain_completions().map(|c| c.job.0).collect();
+        assert_eq!(jobs, [0, 1, 2]);
+        assert_eq!(session.snapshot().submitted, 3);
+        // The outcome covers the jobs since the retire only.
+        let out = session.into_outcome();
+        assert_eq!(out.schedule.num_jobs(), 1);
+        assert_eq!(out.schedule.completion[0], Some(Time::new(22.0)));
+        assert_eq!(policy.0, [0]);
+        assert_eq!(ids.0, [1, 0, 1, 0, 1, 2, 2, 2]);
+    }
+
+    #[test]
+    fn retiring_keeps_the_livelock_cap_of_every_job_submitted() {
+        /// Runs jobs without uplink on the edge; flips a job with one
+        /// between the two clouds at every decision, forever.
+        struct ThrashUplinks {
+            calls: u64,
+        }
+        impl OnlineScheduler for ThrashUplinks {
+            fn name(&self) -> String {
+                "thrash-uplinks".into()
+            }
+            fn decide(&mut self, view: &SimView<'_>, out: &mut DirectiveBuffer) {
+                self.calls += 1;
+                for j in view.pending_jobs() {
+                    let tgt = if view.job(j).up > 0.0 {
+                        Target::Cloud(CloudId((self.calls % 2) as usize))
+                    } else {
+                        Target::Edge
+                    };
+                    out.push(j, tgt);
+                }
+            }
+        }
+        let spec = PlatformSpec::builder()
+            .edges(vec![1.0])
+            .cloud_pool(2)
+            .build();
+        let empty = Instance::new(spec, Vec::new()).unwrap();
+        for retire in [false, true] {
+            let mut policy = ThrashUplinks { calls: 0 };
+            let mut session = Simulation::of(&empty).policy(&mut policy).session();
+            for r in [0.0, 1.0] {
+                session
+                    .submit(Job::new(EdgeId(0), r, 0.5, 0.0, 0.0))
+                    .unwrap();
+            }
+            session.drain().unwrap();
+            if retire {
+                session.retire_finished();
+            }
+            session
+                .submit(Job::new(EdgeId(0), 5.0, 1.0, 1.0, 1.0))
+                .unwrap();
+            // The cap counts all three jobs, the two retired ones too.
+            assert_eq!(
+                session.drain(),
+                Err(EngineError::EventLimit {
+                    limit: 1000 + 64 * 3
+                }),
+                "retire: {retire}"
+            );
+        }
+    }
 }
 
 mod elastic {

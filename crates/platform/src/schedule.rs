@@ -76,6 +76,10 @@ pub struct TraceBuilder {
     alloc: Vec<Option<Target>>,
     completion: Vec<Option<Time>>,
     restarts: Vec<u32>,
+    /// Emptied per-job segment vectors kept by [`TraceBuilder::clear`];
+    /// [`TraceBuilder::grow`] hands them to the next jobs, so a builder
+    /// that is cleared and refilled reuses their storage.
+    spare: Vec<Vec<Segment>>,
 }
 
 impl TraceBuilder {
@@ -87,6 +91,7 @@ impl TraceBuilder {
             alloc: vec![None; n],
             completion: vec![None; n],
             restarts: vec![0; n],
+            spare: Vec::new(),
         }
     }
 
@@ -94,7 +99,9 @@ impl TraceBuilder {
     /// admit jobs after construction).
     pub fn grow(&mut self, extra: usize) {
         let n = self.current.len() + extra;
-        self.current.resize_with(n, Vec::new);
+        let spare = &mut self.spare;
+        self.current
+            .resize_with(n, || spare.pop().unwrap_or_default());
         self.alloc.resize(n, None);
         self.completion.resize(n, None);
         self.restarts.resize(n, 0);
@@ -140,6 +147,20 @@ impl TraceBuilder {
     pub fn complete(&mut self, job: JobId, t: Time) {
         debug_assert!(self.completion[job.0].is_none(), "{job} completed twice");
         self.completion[job.0] = Some(t);
+    }
+
+    /// Forgets every job, keeping the storage: the per-job segment
+    /// vectors are emptied into the spare list that
+    /// [`TraceBuilder::grow`] draws from.
+    pub fn clear(&mut self) {
+        for mut segs in self.current.drain(..) {
+            segs.clear();
+            self.spare.push(segs);
+        }
+        self.abandoned.clear();
+        self.alloc.clear();
+        self.completion.clear();
+        self.restarts.clear();
     }
 
     /// Finalizes the schedule.
@@ -219,6 +240,27 @@ mod tests {
         assert_eq!(s.up[0].len(), 1);
         assert_eq!(s.wasted_time(), Time::new(2.0));
         assert_eq!(s.alloc[0], Some(Target::Cloud(CloudId(0))));
+    }
+
+    #[test]
+    fn clear_forgets_jobs_and_reuses_segment_storage() {
+        let mut tb = TraceBuilder::new(2);
+        tb.record(JobId(0), Phase::Compute, Target::Edge, iv(0.0, 1.0));
+        tb.abandon(JobId(0));
+        tb.record(JobId(1), Phase::Compute, Target::Edge, iv(1.0, 2.0));
+        tb.complete(JobId(1), Time::new(2.0));
+        let storage = tb.current[1].as_ptr();
+        tb.clear();
+        assert_eq!(tb.spare.len(), 2);
+        // The next job starts from a fresh, empty record on reused storage.
+        tb.grow(1);
+        assert_eq!(tb.current[0].as_ptr(), storage);
+        tb.record(JobId(0), Phase::Compute, Target::Edge, iv(5.0, 6.0));
+        tb.complete(JobId(0), Time::new(6.0));
+        let mut fresh = TraceBuilder::new(1);
+        fresh.record(JobId(0), Phase::Compute, Target::Edge, iv(5.0, 6.0));
+        fresh.complete(JobId(0), Time::new(6.0));
+        assert_eq!(tb.finish(), fresh.finish());
     }
 
     #[test]

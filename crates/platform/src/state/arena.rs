@@ -116,6 +116,21 @@ impl JobArena {
         self.min_time.push(min_time);
     }
 
+    /// Drops every job, keeping each column's capacity: the next
+    /// [`JobArena::push`]es refill the same storage.
+    pub fn clear(&mut self) {
+        self.released.clear();
+        self.finished.clear();
+        self.completion.clear();
+        self.committed.clear();
+        self.up_done.clear();
+        self.work_done.clear();
+        self.dn_done.clear();
+        self.running.clear();
+        self.restarts.clear();
+        self.min_time.clear();
+    }
+
     /// Recomputes the min-time cache for every job under `spec`. Called by
     /// the engine after each committed platform mutation (speed changes
     /// and unit membership both move the denominators).
@@ -311,6 +326,22 @@ mod tests {
         arena.reset_progress(0);
         assert_eq!(arena.up_done[0], 0.0);
         assert_eq!(arena.restarts[0], 1);
+    }
+
+    #[test]
+    fn clear_empties_every_column_and_keeps_capacity() {
+        let inst = fixture();
+        let mut arena = JobArena::fresh(&inst, &inst.spec);
+        arena.released[0] = true;
+        arena.work_done[0] = 1.5;
+        let cap = arena.work_done.capacity();
+        arena.clear();
+        assert!(arena.is_empty());
+        assert_eq!(arena, JobArena::new());
+        assert_eq!(arena.work_done.capacity(), cap);
+        // A job pushed after the clear starts from the default state.
+        arena.push(JobState::default(), 7.0);
+        assert_eq!(arena, JobArena::fresh(&inst, &inst.spec));
     }
 
     #[test]

@@ -55,6 +55,11 @@ impl<E> Entry<E> {
 /// Largest permitted bucket count (bounds rebuild allocation).
 const MAX_BUCKETS: usize = 1 << 22;
 
+/// Most events whose spacing scratch a queue keeps between rebuilds. A
+/// batch run's primed queue (thousands of releases) rebuilds a handful
+/// of times and should not hold the scratch for its life.
+const KEEP_SPACING: usize = 1 << 12;
+
 /// Day indices are clamped into this range so ring arithmetic can never
 /// overflow, whatever `width` the sizing heuristic picked.
 const MAX_DAY: i64 = i64::MAX / 4;
@@ -87,6 +92,11 @@ pub struct CalendarQueue<E: Eq> {
     bucketed: usize,
     next_seq: u64,
     popped_until: Time,
+    /// Scratch for `rebuild`'s spacing estimate. A queue that drains
+    /// between sparse pushes rebuilds at nearly every pop, so the storage
+    /// is kept, and such a rebuild allocates nothing; storage for more
+    /// than [`KEEP_SPACING`] events is released after use instead.
+    spacing: Vec<f64>,
 }
 
 impl<E: Eq> Default for CalendarQueue<E> {
@@ -110,6 +120,7 @@ impl<E: Eq> CalendarQueue<E> {
             bucketed: 0,
             next_seq: 0,
             popped_until: Time::new(f64::MIN),
+            spacing: Vec::new(),
         }
     }
 
@@ -213,10 +224,17 @@ impl<E: Eq> CalendarQueue<E> {
         // event times. The median (unlike the mean) is robust to a few
         // far-future outliers, which would otherwise stretch the window so
         // wide that the near cluster collapses into a single bucket.
-        let mut times: Vec<f64> = self.overflow.iter().map(|e| e.time.seconds()).collect();
-        times.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite by Time invariant"));
-        let t_min = times[0];
-        let mut gaps: Vec<f64> = times.windows(2).map(|w| w[1] - w[0]).collect();
+        let gaps = &mut self.spacing;
+        gaps.clear();
+        gaps.extend(self.overflow.iter().map(|e| e.time.seconds()));
+        gaps.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite by Time invariant"));
+        let t_min = gaps[0];
+        // The sorted times become the gaps between neighbours, in place:
+        // entry `i - 1` is overwritten only after its last read.
+        for i in 1..count {
+            gaps[i - 1] = gaps[i] - gaps[i - 1];
+        }
+        gaps.pop();
         gaps.retain(|&g| g > 0.0);
         self.width = if gaps.is_empty() {
             // Degenerate span (all simultaneous): one bucket-day per second.
@@ -227,13 +245,15 @@ impl<E: Eq> CalendarQueue<E> {
                 gaps.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("finite"));
             *median
         };
+        if gaps.capacity() > KEEP_SPACING {
+            *gaps = Vec::new();
+        }
         self.origin = t_min;
         let nb = count.next_power_of_two().clamp(4, MAX_BUCKETS);
-        if self.nb != nb {
-            self.nb = nb;
-            self.buckets.clear();
-            self.buckets.resize_with(nb, Vec::new);
-        }
+        // Every bucket is empty here, so re-sizing the ring keeps the
+        // storage of the buckets that stay.
+        self.nb = nb;
+        self.buckets.resize_with(nb, Vec::new);
         self.cur_day = 0;
         self.overflow_day = nb as i64;
         self.overflow_min = None;

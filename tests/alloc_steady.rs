@@ -1,7 +1,7 @@
 //! Allocation discipline of the steady-state hot paths, pinned by a
 //! counting global allocator.
 //!
-//! Two regimes must be allocation-free once their reusable storage is
+//! Three regimes must be allocation-free once their reusable storage is
 //! warm:
 //!
 //! 1. **Engine stepping**: a session advancing through capped
@@ -15,6 +15,13 @@
 //!    [`ObjWriter`] allocates nothing per record — the `mmsec serve`
 //!    admit path's parse/emit cost is bounded by the engine, not the
 //!    protocol layer.
+//! 3. **A served lane**: [`serve::serve`] over an in-memory light-load
+//!    stream — idle gaps, heartbeats, `stats` records, admits and
+//!    completions — under SSF-EDF and under SRPT. A lane forgets its
+//!    finished jobs at each idle point and reuses their storage, so once
+//!    warm it allocates only when a busy period reaches a new high-water
+//!    mark; the exact count over lines 1,001–2,000 is pinned, and lines
+//!    2,001–2,499 make none.
 //!
 //! Everything runs inside ONE `#[test]` so the counter can't be
 //! contaminated by a concurrently running sibling test.
@@ -23,6 +30,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mmsec_apps::ndjson::{parse_object_into, ObjBuf, ObjWriter};
+use mmsec_apps::serve::{self, ServeConfig};
+use mmsec_bench::load::{script, LoadPlan};
 use mmsec_core::PolicyKind;
 use mmsec_platform::{EdgeId, Instance, Job, PlatformSpec, SessionStatus, Simulation};
 use mmsec_sim::Time;
@@ -76,6 +85,8 @@ fn alloc_events(f: impl FnOnce()) -> u64 {
 fn steady_state_hot_paths_do_not_allocate() {
     engine_capped_steps();
     ndjson_record_layer();
+    served_lane(PolicyKind::SsfEdf);
+    served_lane(PolicyKind::Srpt);
 }
 
 /// Regime 1: capped engine steps in a warm session.
@@ -143,5 +154,114 @@ fn ndjson_record_layer() {
         events, 0,
         "NDJSON parse/serialize layer must be allocation-free per \
          record, saw {events} allocation event(s) over 256 round trips"
+    );
+}
+
+/// An in-memory input stream that notes this thread's allocation count
+/// when `serve` starts reading each line of `marks` (0-based), i.e. once
+/// every line before it has been fully handled.
+struct MarkedInput {
+    data: Vec<u8>,
+    pos: usize,
+    /// Byte offset of each marked line's start, and the count seen there.
+    marks: Vec<(usize, Option<u64>)>,
+}
+
+impl MarkedInput {
+    fn new(lines: &[String], marks: &[usize]) -> Self {
+        let mut data = Vec::new();
+        let mut starts = Vec::new();
+        for line in lines {
+            starts.push(data.len());
+            data.extend_from_slice(line.as_bytes());
+        }
+        let marks = marks.iter().map(|&i| (starts[i], None)).collect();
+        MarkedInput {
+            data,
+            pos: 0,
+            marks,
+        }
+    }
+}
+
+impl std::io::Read for MarkedInput {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = std::io::BufRead::fill_buf(self)?.len().min(buf.len());
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+impl std::io::BufRead for MarkedInput {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        for (at, seen) in &mut self.marks {
+            if *at == self.pos && seen.is_none() {
+                *seen = Some(ALLOC_EVENTS.with(Cell::get));
+            }
+        }
+        Ok(&self.data[self.pos..])
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.pos += amt;
+    }
+}
+
+/// Regime 3: one served lane, warm after its first thousand lines.
+fn served_lane(policy: PolicyKind) {
+    // serve-steady's per-tenant traffic: exponential gaps (mean 1 s) and
+    // work (mean 0.8 s) on two unit-speed edges and two speed-2 clouds.
+    // Most submissions find the lane idle.
+    let lines: Vec<String> = script(&LoadPlan {
+        jobs: 2_500,
+        tenants: 1,
+        seed: 5,
+        ..LoadPlan::default()
+    })
+    .into_iter()
+    .map(|job| job.line)
+    .collect();
+    let inst =
+        Instance::from_text("edge 1.0\nedge 1.0\ncloud 2.0\ncloud 2.0\n").expect("valid platform");
+    let cfg = ServeConfig {
+        policy,
+        heartbeat: 5.0,
+        stats_every: Some(100),
+        ..ServeConfig::default()
+    };
+    // Lines 1,001–2,000 and 2,001–2,500 (1-based): between the starts of
+    // lines 1,000, 2,000 and 2,499 (0-based), before the last line.
+    let mut input = MarkedInput::new(&lines, &[1_000, 2_000, 2_499]);
+    let summary = serve::serve(&inst, &cfg, &mut input, std::io::sink(), None)
+        .expect("the stream serves cleanly");
+    assert_eq!(summary.admitted, lines.len());
+    assert_eq!(summary.completed, lines.len());
+    let marks: Vec<u64> = input
+        .marks
+        .iter()
+        .map(|m| m.1.expect("every marked line was read"))
+        .collect();
+    // The one source left: the schedule trace's per-job segment vectors.
+    // A retire keeps them for the next jobs, so a lane allocates one only
+    // when a busy period holds more jobs than any before it, and grows
+    // one only when a job records more segments than its reused vector
+    // ever held. Both are high-water marks, ever rarer as the lane warms.
+    let high_water = match policy {
+        PolicyKind::SsfEdf => 6,
+        _ => 3,
+    };
+    let events = marks[1] - marks[0];
+    assert_eq!(
+        events, high_water,
+        "a warm served lane ({policy}) allocates only at trace high-water \
+         marks: expected {high_water}, saw {events} allocation event(s) over \
+         lines 1,001-2,000"
+    );
+    let later = marks[2] - marks[1];
+    assert_eq!(
+        later, 0,
+        "a warm served lane ({policy}) must be allocation-free per line, \
+         saw {later} allocation event(s) over lines 2,001-2,499"
     );
 }
