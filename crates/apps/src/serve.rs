@@ -501,13 +501,17 @@ impl Pulse {
 /// Writes the shared stats payload (schema v4) into `w`: queue depths,
 /// decide counters, admission totals, per-interval deltas, and platform
 /// shape (including tier-graph fields). Updates `last` to the current
-/// totals.
+/// totals. `by_tier` and `list` are the lane's reused scratch for the
+/// tier-graph fields.
 fn stats_payload(
     w: &mut ObjWriter,
     session: &Session<'_>,
     summary: &ServeSummary,
     last: &mut Deltas,
+    by_tier: &mut Vec<usize>,
+    list: &mut String,
 ) {
+    use std::fmt::Write as _;
     let s = session.snapshot();
     w.num_field("now", s.now.seconds())
         .num_field("submitted", s.submitted as f64)
@@ -526,18 +530,19 @@ fn stats_payload(
     let depth = platform.spec().tier_depth();
     w.num_field("tiers", depth as f64);
     if let Some(topo) = platform.spec().tier_topology() {
-        let mut by_tier = vec![0usize; depth];
+        by_tier.clear();
+        by_tier.resize(depth, 0);
         for k in platform.spec().clouds() {
             if platform.cloud_live(k) {
                 by_tier[topo.tier_of(k) - 1] += 1;
             }
         }
-        let list = by_tier
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        w.str_field("clouds_by_tier", &list);
+        list.clear();
+        for (t, n) in by_tier.iter().enumerate() {
+            let sep = if t == 0 { "" } else { "," };
+            let _ = write!(list, "{sep}{n}");
+        }
+        w.str_field("clouds_by_tier", list);
     }
     w.num_field("max_stretch", s.max_stretch)
         .num_field("mean_stretch", s.mean_stretch)
@@ -573,12 +578,14 @@ pub(crate) struct Lane<'a> {
     summary: ServeSummary,
     max_pending: Option<usize>,
     policy_name: &'static str,
-    // Reused per-line storage: the parsed fields, the output record, and
-    // a small formatting scratch. A steady stream of well-formed
-    // submissions allocates nothing per line in this layer.
+    // Reused per-line storage: the parsed fields, the output record, a
+    // small formatting scratch, and the per-tier cloud counts of stats
+    // records. A steady stream of well-formed submissions allocates
+    // nothing per line in this layer.
     fields: ObjBuf,
     w: ObjWriter,
     scratch: String,
+    by_tier: Vec<usize>,
 }
 
 impl<'a> Lane<'a> {
@@ -624,6 +631,7 @@ impl<'a> Lane<'a> {
             fields: ObjBuf::new(),
             w: ObjWriter::typed("hello"),
             scratch: String::new(),
+            by_tier: Vec::new(),
         }
     }
 
@@ -849,7 +857,14 @@ impl<'a> Lane<'a> {
         if let Some(n) = line {
             w.num_field("line", n as f64);
         }
-        stats_payload(w, &self.session, &self.summary, last);
+        stats_payload(
+            w,
+            &self.session,
+            &self.summary,
+            last,
+            &mut self.by_tier,
+            &mut self.scratch,
+        );
         write_line(out, self.w.close())
     }
 

@@ -193,6 +193,8 @@ impl OnlineScheduler for CloudOnly {
 pub struct RandomSticky {
     rng: SplitMix64,
     chosen: Vec<Option<Target>>,
+    /// Reused list of the units a job may draw from.
+    options: Vec<Target>,
 }
 
 impl RandomSticky {
@@ -201,6 +203,7 @@ impl RandomSticky {
         RandomSticky {
             rng: SplitMix64::new(seed),
             chosen: Vec::new(),
+            options: Vec::new(),
         }
     }
 }
@@ -244,7 +247,8 @@ impl OnlineScheduler for RandomSticky {
                 // Draw among the units currently up. With no fault plan
                 // every unit is up, so the option list — and thus the RNG
                 // stream — is identical to the fault-free policy.
-                let mut options: Vec<Target> = Vec::with_capacity(1 + spec.num_cloud());
+                let options = &mut self.options;
+                options.clear();
                 if view.edge_available(origin) {
                     options.push(Target::Edge);
                 }

@@ -37,16 +37,26 @@ pub fn deadline(job: &ReleasedJob, s: f64) -> Time {
 }
 
 /// Feasibility of target stretch `s` at time `now` for already-released
-/// jobs on one machine with preemptive EDF (exact).
-pub fn edf_feasible(now: Time, jobs: &[ReleasedJob], s: f64) -> bool {
-    let mut deadlines: Vec<(f64, f64)> = jobs
-        .iter()
-        .map(|j| (deadline(j, s).seconds(), j.proc_time))
-        .collect();
-    deadlines.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+/// jobs on one machine with preemptive EDF (exact). `order` is scratch
+/// space, reused across calls so a probe allocates nothing once warm.
+pub fn edf_feasible(
+    now: Time,
+    jobs: &[ReleasedJob],
+    s: f64,
+    order: &mut Vec<(f64, usize)>,
+) -> bool {
+    order.clear();
+    order.extend(
+        jobs.iter()
+            .enumerate()
+            .map(|(i, j)| (deadline(j, s).seconds(), i)),
+    );
+    // Equal deadlines keep the input order, as a stable sort would: the
+    // prefix sums below then add up in the same order.
+    order.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
     let mut load = 0.0;
-    for (d, p) in deadlines {
-        load += p;
+    for &(d, i) in order.iter() {
+        load += jobs[i].proc_time;
         if !approx::le(now.seconds() + load, d) {
             return false;
         }
@@ -63,20 +73,26 @@ pub fn forced_stretch(now: Time, jobs: &[ReleasedJob]) -> f64 {
 }
 
 /// Minimum feasible target stretch at `now` for the released jobs, to
-/// relative precision `eps_rel` (binary search; paper §V-D).
-pub fn optimal_stretch_so_far(now: Time, jobs: &[ReleasedJob], eps_rel: f64) -> f64 {
+/// relative precision `eps_rel` (binary search; paper §V-D). `order` is
+/// the probes' scratch space (see [`edf_feasible`]).
+pub fn optimal_stretch_so_far(
+    now: Time,
+    jobs: &[ReleasedJob],
+    eps_rel: f64,
+    order: &mut Vec<(f64, usize)>,
+) -> f64 {
     assert!(eps_rel > 0.0);
     if jobs.is_empty() {
         return 1.0;
     }
     let mut lo = forced_stretch(now, jobs);
-    if edf_feasible(now, jobs, lo) {
+    if edf_feasible(now, jobs, lo, order) {
         return lo;
     }
     // Find a feasible upper bound by doubling.
     let mut hi = lo.max(1.0) * 2.0;
     let mut doubles = 0;
-    while !edf_feasible(now, jobs, hi) {
+    while !edf_feasible(now, jobs, hi, order) {
         hi *= 2.0;
         doubles += 1;
         assert!(
@@ -87,7 +103,7 @@ pub fn optimal_stretch_so_far(now: Time, jobs: &[ReleasedJob], eps_rel: f64) -> 
     // Binary search [lo, hi).
     while hi - lo > eps_rel * lo {
         let mid = 0.5 * (lo + hi);
-        if edf_feasible(now, jobs, mid) {
+        if edf_feasible(now, jobs, mid, order) {
             hi = mid;
         } else {
             lo = mid;
@@ -124,8 +140,8 @@ mod tests {
     #[test]
     fn single_job_stretch_one() {
         let jobs = [job(0, 0.0, 4.0, 4.0)];
-        assert!(edf_feasible(Time::ZERO, &jobs, 1.0));
-        let s = optimal_stretch_so_far(Time::ZERO, &jobs, 1e-9);
+        assert!(edf_feasible(Time::ZERO, &jobs, 1.0, &mut Vec::new()));
+        let s = optimal_stretch_so_far(Time::ZERO, &jobs, 1e-9, &mut Vec::new());
         assert!((s - 1.0).abs() < 1e-6);
     }
 
@@ -134,9 +150,9 @@ mod tests {
         // 1-hour and 10-hour jobs released together on one unit-speed
         // machine: optimal max-stretch is 1.1 (short job first).
         let jobs = [job(0, 0.0, 1.0, 1.0), job(1, 0.0, 10.0, 10.0)];
-        assert!(edf_feasible(Time::ZERO, &jobs, 1.1));
-        assert!(!edf_feasible(Time::ZERO, &jobs, 1.05));
-        let s = optimal_stretch_so_far(Time::ZERO, &jobs, 1e-6);
+        assert!(edf_feasible(Time::ZERO, &jobs, 1.1, &mut Vec::new()));
+        assert!(!edf_feasible(Time::ZERO, &jobs, 1.05, &mut Vec::new()));
+        let s = optimal_stretch_so_far(Time::ZERO, &jobs, 1e-6, &mut Vec::new());
         assert!((s - 1.1).abs() < 1e-4, "s = {s}");
         // EDF order at the optimum runs the short job first.
         let order = edf_order(&jobs, s);
@@ -149,7 +165,7 @@ mod tests {
         let jobs = [job(0, 0.0, 1.0, 1.0)];
         let f = forced_stretch(Time::new(9.0), &jobs);
         assert!((f - 10.0).abs() < 1e-12);
-        let s = optimal_stretch_so_far(Time::new(9.0), &jobs, 1e-9);
+        let s = optimal_stretch_so_far(Time::new(9.0), &jobs, 1e-9, &mut Vec::new());
         assert!((s - 10.0).abs() < 1e-6);
     }
 
@@ -158,7 +174,7 @@ mod tests {
         // Edge-cloud correction: a job processed in 6 locally but with
         // min_time 4 (cloud would take 4) has stretch ≥ 1.5 locally.
         let jobs = [job(0, 0.0, 6.0, 4.0)];
-        let s = optimal_stretch_so_far(Time::ZERO, &jobs, 1e-9);
+        let s = optimal_stretch_so_far(Time::ZERO, &jobs, 1e-9, &mut Vec::new());
         assert!((s - 1.5).abs() < 1e-6);
     }
 
@@ -171,7 +187,7 @@ mod tests {
             job(1, 0.0, 1.0, 1.0),
             job(2, 0.0, 1.0, 1.0),
         ];
-        let s = optimal_stretch_so_far(Time::ZERO, &jobs, 1e-6);
+        let s = optimal_stretch_so_far(Time::ZERO, &jobs, 1e-6, &mut Vec::new());
         assert!((s - 3.0).abs() < 1e-3, "s = {s}");
     }
 
@@ -183,9 +199,14 @@ mod tests {
             job(1, 1.0, 1.0, 1.0),
             job(2, 2.0, 2.0, 2.0),
         ];
-        let s = optimal_stretch_so_far(Time::new(3.0), &jobs, 1e-6);
-        assert!(edf_feasible(Time::new(3.0), &jobs, s));
-        assert!(!edf_feasible(Time::new(3.0), &jobs, s * 0.98));
+        let s = optimal_stretch_so_far(Time::new(3.0), &jobs, 1e-6, &mut Vec::new());
+        assert!(edf_feasible(Time::new(3.0), &jobs, s, &mut Vec::new()));
+        assert!(!edf_feasible(
+            Time::new(3.0),
+            &jobs,
+            s * 0.98,
+            &mut Vec::new()
+        ));
     }
 
     #[test]
@@ -198,8 +219,11 @@ mod tests {
 
     #[test]
     fn empty_job_set() {
-        assert_eq!(optimal_stretch_so_far(Time::ZERO, &[], 1e-3), 1.0);
-        assert!(edf_feasible(Time::ZERO, &[], 1.0));
+        assert_eq!(
+            optimal_stretch_so_far(Time::ZERO, &[], 1e-3, &mut Vec::new()),
+            1.0
+        );
+        assert!(edf_feasible(Time::ZERO, &[], 1.0, &mut Vec::new()));
         assert_eq!(forced_stretch(Time::ZERO, &[]), 1.0);
     }
 }

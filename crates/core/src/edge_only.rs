@@ -36,6 +36,11 @@ pub struct EdgeOnly {
     /// re-provisioned, units joined or left) voids them all — deadlines
     /// depend on edge speeds through the processing-time estimates.
     platform_version: u64,
+    /// Reused per-decide storage: the units to recompute, one unit's
+    /// released jobs, and the feasibility probes' deadline order.
+    dirty_units: Vec<usize>,
+    released: Vec<ReleasedJob>,
+    probe_order: Vec<(f64, usize)>,
 }
 
 impl Default for EdgeOnly {
@@ -60,6 +65,9 @@ impl EdgeOnly {
             order: Vec::new(),
             incremental: true,
             platform_version: 0,
+            dirty_units: Vec::new(),
+            released: Vec::new(),
+            probe_order: Vec::new(),
         }
     }
 
@@ -75,25 +83,32 @@ impl EdgeOnly {
     /// Recomputes deadlines for all pending jobs of edge unit `unit`.
     fn recompute_unit(&mut self, view: &SimView<'_>, unit: usize) {
         let spec = view.spec();
-        let released: Vec<ReleasedJob> = view
-            .pending_jobs()
-            .filter(|&id| view.job(id).origin.0 == unit)
-            .map(|id| {
-                let job = view.job(id);
-                ReleasedJob {
-                    id,
-                    release: job.release,
-                    proc_time: view.jobs.remaining_work(id.0, job) / spec.edge_speed(job.origin),
-                    min_time: view.min_time(id),
-                }
-            })
-            .collect();
-        if released.is_empty() {
+        self.released.clear();
+        self.released.extend(
+            view.pending_jobs()
+                .filter(|&id| view.job(id).origin.0 == unit)
+                .map(|id| {
+                    let job = view.job(id);
+                    ReleasedJob {
+                        id,
+                        release: job.release,
+                        proc_time: view.jobs.remaining_work(id.0, job)
+                            / spec.edge_speed(job.origin),
+                        min_time: view.min_time(id),
+                    }
+                }),
+        );
+        if self.released.is_empty() {
             return;
         }
-        let s_opt = optimal_stretch_so_far(view.now, &released, self.eps_rel);
+        let s_opt = optimal_stretch_so_far(
+            view.now,
+            &self.released,
+            self.eps_rel,
+            &mut self.probe_order,
+        );
         let s_c = self.alpha * s_opt;
-        for j in &released {
+        for j in &self.released {
             self.deadlines[j.id.0] = Some(deadline(j, s_c));
         }
     }
@@ -140,17 +155,20 @@ impl OnlineScheduler for EdgeOnly {
         }
         // Units with a newly released job recompute their deadlines
         // (stretch-so-far is re-estimated at release events).
-        let mut dirty_units: Vec<usize> = view
-            .pending_jobs()
-            .filter(|id| self.deadlines[id.0].is_none())
-            .map(|id| view.job(id).origin.0)
-            .collect();
+        let mut dirty_units = std::mem::take(&mut self.dirty_units);
+        dirty_units.clear();
+        dirty_units.extend(
+            view.pending_jobs()
+                .filter(|id| self.deadlines[id.0].is_none())
+                .map(|id| view.job(id).origin.0),
+        );
         dirty_units.sort_unstable();
         dirty_units.dedup();
         let recomputed = !dirty_units.is_empty();
-        for unit in dirty_units {
+        for &unit in &dirty_units {
             self.recompute_unit(view, unit);
         }
+        self.dirty_units = dirty_units;
 
         // Preemptive EDF per unit: a global deadline sort is fine because
         // units share no resources.

@@ -4,7 +4,8 @@ use crate::instance::figure1_instance;
 use crate::job::{Job, JobId};
 use crate::spec::{CloudId, EdgeId, PlatformSpec};
 use mmsec_obs::{Event as ObsEvent, Observer};
-use mmsec_sim::Time;
+use mmsec_sim::interval::total_length;
+use mmsec_sim::{Interval, Time};
 
 /// Sends every job to the cloud processor 0, FIFO priority.
 struct AllCloudFifo;
@@ -59,9 +60,9 @@ fn single_cloud_job_timing() {
     // up 1 + work 3 + dn 2 = 6.
     assert_eq!(out.schedule.completion[0], Some(Time::new(6.0)));
     assert_eq!(out.schedule.alloc[0], Some(Target::Cloud(CloudId(0))));
-    assert_eq!(out.schedule.up[0].total_length(), Time::new(1.0));
-    assert_eq!(out.schedule.exec[0].total_length(), Time::new(3.0));
-    assert_eq!(out.schedule.dn[0].total_length(), Time::new(2.0));
+    assert_eq!(total_length(out.schedule.up(0)), Time::new(1.0));
+    assert_eq!(total_length(out.schedule.exec(0)), Time::new(3.0));
+    assert_eq!(total_length(out.schedule.dn(0)), Time::new(2.0));
     assert!(out.stats.events <= 8);
 }
 
@@ -75,7 +76,7 @@ fn single_edge_job_timing() {
     // 3 work at speed 0.5 → 6 seconds.
     assert_eq!(out.schedule.completion[0], Some(Time::new(6.0)));
     assert_eq!(out.schedule.alloc[0], Some(Target::Edge));
-    assert!(out.schedule.up[0].is_empty());
+    assert!(out.schedule.up(0).is_empty());
 }
 
 #[test]
@@ -86,8 +87,8 @@ fn zero_comm_job_skips_phases() {
         .run()
         .unwrap();
     assert_eq!(out.schedule.completion[0], Some(Time::new(4.0)));
-    assert!(out.schedule.up[0].is_empty());
-    assert!(out.schedule.dn[0].is_empty());
+    assert!(out.schedule.up(0).is_empty());
+    assert!(out.schedule.dn(0).is_empty());
 }
 
 #[test]
@@ -102,7 +103,10 @@ fn release_dates_are_respected() {
         .policy(&mut AllEdgeFifo)
         .run()
         .unwrap();
-    assert_eq!(out.schedule.exec[0].min_start(), Some(Time::new(5.0)));
+    assert_eq!(
+        out.schedule.exec(0).first().map(Interval::start),
+        Some(Time::new(5.0))
+    );
     assert_eq!(out.schedule.completion[0], Some(Time::new(7.0)));
 }
 
@@ -125,7 +129,10 @@ fn cloud_serializes_two_jobs() {
     // edge send port: up [1,2), exec [3,5), dn [5,6).
     assert_eq!(out.schedule.completion[0], Some(Time::new(4.0)));
     assert_eq!(out.schedule.completion[1], Some(Time::new(6.0)));
-    assert_eq!(out.schedule.up[1].min_start(), Some(Time::new(1.0)));
+    assert_eq!(
+        out.schedule.up(1).first().map(Interval::start),
+        Some(Time::new(1.0))
+    );
 }
 
 #[test]
@@ -349,7 +356,6 @@ fn non_preemptive_mode_pins_activities() {
 
 #[test]
 fn unavailability_window_pauses_cloud_compute() {
-    use mmsec_sim::Interval;
     let spec = PlatformSpec::builder()
         .edges(vec![1.0])
         .cloud_pool(1)
@@ -363,8 +369,8 @@ fn unavailability_window_pauses_cloud_compute() {
         .unwrap();
     // up [0,1), exec [1,2) then paused during [2,5), exec [5,8).
     assert_eq!(out.schedule.completion[0], Some(Time::new(8.0)));
-    assert_eq!(out.schedule.exec[0].total_length(), Time::new(4.0));
-    assert_eq!(out.schedule.exec[0].len(), 2);
+    assert_eq!(total_length(out.schedule.exec(0)), Time::new(4.0));
+    assert_eq!(out.schedule.exec(0).len(), 2);
 }
 
 #[test]
@@ -580,7 +586,7 @@ mod faults {
             .unwrap();
         assert_eq!(out.schedule.completion[0], Some(Time::new(4.0)));
         assert_eq!(out.stats.restarts, 0);
-        assert_eq!(out.schedule.up[0].total_length(), Time::new(2.0));
+        assert_eq!(total_length(out.schedule.up(0)), Time::new(2.0));
     }
 
     #[test]
@@ -612,8 +618,8 @@ mod faults {
             .run()
             .unwrap();
         assert_eq!(out.schedule.completion[0], Some(Time::new(3.0)));
-        assert_eq!(out.schedule.up[0].total_length(), Time::new(2.0));
-        assert_eq!(out.schedule.exec[0].total_length(), Time::new(1.0));
+        assert_eq!(total_length(out.schedule.up(0)), Time::new(2.0));
+        assert_eq!(total_length(out.schedule.exec(0)), Time::new(1.0));
         assert_eq!(out.stats.restarts, 0);
     }
 

@@ -38,7 +38,7 @@ pub fn schedule_to_csv(instance: &Instance, schedule: &Schedule) -> String {
 
     for (id, _) in instance.iter_jobs() {
         if let Some(target) = schedule.alloc[id.0] {
-            for iv in schedule.exec[id.0].iter() {
+            for iv in schedule.exec(id.0) {
                 push(
                     id.0,
                     Phase::Compute,
@@ -48,7 +48,7 @@ pub fn schedule_to_csv(instance: &Instance, schedule: &Schedule) -> String {
                     false,
                 );
             }
-            for iv in schedule.up[id.0].iter() {
+            for iv in schedule.up(id.0) {
                 push(
                     id.0,
                     Phase::Uplink,
@@ -58,7 +58,7 @@ pub fn schedule_to_csv(instance: &Instance, schedule: &Schedule) -> String {
                     false,
                 );
             }
-            for iv in schedule.dn[id.0].iter() {
+            for iv in schedule.dn(id.0) {
                 push(
                     id.0,
                     Phase::Downlink,
@@ -119,20 +119,25 @@ impl std::error::Error for ImportError {}
 /// Completion times are reconstructed as the end of each job's last
 /// non-abandoned activity. Round-trips exactly with the exporter; useful
 /// for re-validating archived schedules.
+///
+/// The file is untrusted: a non-finite time, an end before its start, or
+/// two final-attempt rows of one job and phase that overlap are
+/// [`ImportError::Parse`] errors naming the offending row's line.
 pub fn schedule_from_csv(instance: &Instance, csv: &str) -> Result<Schedule, ImportError> {
     use crate::schedule::TraceBuilder;
     use crate::{CloudId, JobId};
     use mmsec_sim::{Interval, Time};
 
     struct Row {
+        line: usize,
         job: usize,
         phase: Phase,
         target: Target,
-        start: f64,
-        end: f64,
+        interval: Interval,
         abandoned: bool,
     }
 
+    let n = instance.num_jobs();
     let mut rows: Vec<Row> = Vec::new();
     for (lineno, line) in csv.lines().enumerate() {
         if lineno == 0 {
@@ -160,7 +165,7 @@ pub fn schedule_from_csv(instance: &Instance, csv: &str) -> Result<Schedule, Imp
             .map_err(|e| err(format!("bad job id: {e}")))?
             .checked_sub(1)
             .ok_or_else(|| err("job ids are 1-based".into()))?;
-        if job >= instance.num_jobs() {
+        if job >= n {
             return Err(err(format!("job {} out of range", job + 1)));
         }
         let phase = match fields[1] {
@@ -179,55 +184,79 @@ pub fn schedule_from_csv(instance: &Instance, csv: &str) -> Result<Schedule, Imp
         } else {
             return Err(err(format!("unknown target {:?}", fields[2])));
         };
-        let start: f64 = fields[3]
-            .parse()
-            .map_err(|e| err(format!("bad start: {e}")))?;
-        let end: f64 = fields[4]
-            .parse()
-            .map_err(|e| err(format!("bad end: {e}")))?;
+        let time = |i: usize, name: &str| -> Result<Time, ImportError> {
+            let t: f64 = fields[i]
+                .parse()
+                .map_err(|e| err(format!("bad {name}: {e}")))?;
+            if !t.is_finite() {
+                return Err(err(format!("{name} {t} is not finite")));
+            }
+            Ok(Time::new(t))
+        };
+        let (start, end) = (time(3, "start")?, time(4, "end")?);
+        // The tolerance `Interval::new` accepts, so no row it would panic on
+        // gets through.
+        if !end.approx_ge(start) {
+            return Err(err(format!(
+                "end {} precedes start {}",
+                end.seconds(),
+                start.seconds()
+            )));
+        }
         let abandoned: bool = fields[6]
             .parse()
             .map_err(|e| err(format!("bad abandoned flag: {e}")))?;
         rows.push(Row {
+            line: lineno + 1,
             job,
             phase,
             target,
-            start,
-            end,
+            interval: Interval::new(start, end),
             abandoned,
         });
     }
 
     // Feed the trace builder: abandoned attempts first (in time order),
     // each followed by an abandon mark, then the final attempts.
-    let mut tb = TraceBuilder::new(instance.num_jobs());
-    rows.sort_by(|a, b| a.start.partial_cmp(&b.start).expect("finite"));
+    let mut tb = TraceBuilder::new(n);
+    rows.sort_by_key(|r| r.interval.start());
+    let mut restarted = vec![false; n];
     for row in rows.iter().filter(|r| r.abandoned) {
-        tb.record(
-            JobId(row.job),
-            row.phase,
-            row.target,
-            Interval::from_secs(row.start, row.end),
-        );
+        tb.record(JobId(row.job), row.phase, row.target, row.interval);
+        restarted[row.job] = true;
     }
-    for job in 0..instance.num_jobs() {
-        if rows.iter().any(|r| r.abandoned && r.job == job) {
-            tb.abandon(JobId(job));
-        }
+    for job in (0..n).filter(|&j| restarted[j]) {
+        tb.abandon(JobId(job));
     }
-    let mut last_end = vec![f64::NEG_INFINITY; instance.num_jobs()];
+    // The latest final-attempt interval of each job and phase: rows come
+    // in start order, so a row overlapping any earlier one of its job and
+    // phase overlaps this one.
+    let mut latest: Vec<[Option<Interval>; 3]> = vec![[None; 3]; n];
+    let mut last_end: Vec<Option<Time>> = vec![None; n];
     for row in rows.iter().filter(|r| !r.abandoned) {
-        tb.record(
-            JobId(row.job),
-            row.phase,
-            row.target,
-            Interval::from_secs(row.start, row.end),
-        );
-        last_end[row.job] = last_end[row.job].max(row.end);
+        let slot = &mut latest[row.job][row.phase as usize];
+        if let Some(prev) = slot.filter(|prev| prev.overlaps(&row.interval)) {
+            return Err(ImportError::Parse {
+                line: row.line,
+                message: format!(
+                    "job {} {} row {:?} overlaps {:?}",
+                    row.job + 1,
+                    row.phase,
+                    row.interval,
+                    prev
+                ),
+            });
+        }
+        if !row.interval.is_empty() {
+            *slot = Some(row.interval);
+        }
+        tb.record(JobId(row.job), row.phase, row.target, row.interval);
+        let end = row.interval.end();
+        last_end[row.job] = Some(last_end[row.job].map_or(end, |e| e.max(end)));
     }
-    for (job, &end) in last_end.iter().enumerate() {
-        if end.is_finite() {
-            tb.complete(JobId(job), Time::new(end));
+    for (job, end) in last_end.into_iter().enumerate() {
+        if let Some(end) = end {
+            tb.complete(JobId(job), end);
         }
     }
     Ok(tb.finish())
@@ -281,9 +310,11 @@ mod tests {
         let csv = schedule_to_csv(&inst, &out.schedule);
         let back = schedule_from_csv(&inst, &csv).expect("import");
         assert_eq!(back.alloc, out.schedule.alloc);
-        assert_eq!(back.exec, out.schedule.exec);
-        assert_eq!(back.up, out.schedule.up);
-        assert_eq!(back.dn, out.schedule.dn);
+        for i in 0..inst.num_jobs() {
+            assert_eq!(back.exec(i), out.schedule.exec(i));
+            assert_eq!(back.up(i), out.schedule.up(i));
+            assert_eq!(back.dn(i), out.schedule.dn(i));
+        }
         assert_eq!(back.completion, out.schedule.completion);
         // The reconstructed schedule passes full validation too.
         assert!(crate::validate::validate(&inst, &back).is_ok());
@@ -306,6 +337,45 @@ mod tests {
         assert!(schedule_from_csv(&inst, &bad_job).is_err());
         let bad_phase = format!("{CSV_HEADER}\n1,warp,edge,0,1,cpu(e0),false\n");
         assert!(schedule_from_csv(&inst, &bad_phase).is_err());
+    }
+
+    #[test]
+    fn import_rejects_hostile_rows_with_their_line() {
+        let inst = figure1_instance();
+        let ok = "1,exec,edge,1,3,cpu(e0),false";
+        // Each hostile row follows the valid one (line 2) at line 3. An
+        // overlap is reported at whichever of the two starts later.
+        let cases = [
+            ("nan start", "1,exec,edge,NaN,3,cpu(e0),false", 3),
+            ("nan end", "1,exec,edge,1,nan,cpu(e0),false", 3),
+            ("infinite start", "1,exec,edge,-inf,3,cpu(e0),false", 3),
+            ("infinite end", "1,exec,edge,1,inf,cpu(e0),false", 3),
+            ("end before start", "1,exec,edge,3,1,cpu(e0),false", 3),
+            ("overlap", "1,exec,edge,2,4,cpu(e0),false", 3),
+            ("nested overlap", "1,exec,edge,1.5,2,cpu(e0),false", 3),
+            ("same start", "1,exec,edge,1,2,cpu(e0),false", 3),
+            ("earlier start", "1,exec,edge,0,2,cpu(e0),false", 2),
+        ];
+        for (name, row, line) in cases {
+            let csv = format!("{CSV_HEADER}\n{ok}\n{row}\n");
+            match schedule_from_csv(&inst, &csv) {
+                Err(ImportError::Parse { line: got, .. }) => {
+                    assert_eq!(got, line, "{name}: wrong line")
+                }
+                other => panic!("{name}: expected a parse error, got {other:?}"),
+            }
+        }
+        // Touching rows, rows of another phase or job, and overlapping
+        // abandoned rows are not overlaps within a final attempt.
+        for row in [
+            "1,exec,edge,3,4,cpu(e0),false",
+            "1,up,cloud:0,1,2,out(e0)+in(c0),false",
+            "2,exec,edge,1,2,cpu(e0),false",
+            "1,exec,edge,1,2,cpu(e0),true",
+        ] {
+            let csv = format!("{CSV_HEADER}\n{ok}\n{row}\n");
+            assert!(schedule_from_csv(&inst, &csv).is_ok(), "{row}");
+        }
     }
 
     #[test]

@@ -78,18 +78,18 @@ pub fn gantt(instance: &Instance, schedule: &Schedule, opts: GanttOptions) -> St
             continue;
         };
         let sym = job_symbol(id, false);
-        for iv in schedule.exec[id.0].iter() {
+        for iv in schedule.exec(id.0) {
             for r in Phase::Compute.resources(job, target).iter() {
                 paint(&mut rows, r, *iv, sym);
             }
         }
         if let Target::Cloud(_) = target {
-            for iv in schedule.up[id.0].iter() {
+            for iv in schedule.up(id.0) {
                 for r in Phase::Uplink.resources(job, target).iter() {
                     paint(&mut rows, r, *iv, sym);
                 }
             }
-            for iv in schedule.dn[id.0].iter() {
+            for iv in schedule.dn(id.0) {
                 for r in Phase::Downlink.resources(job, target).iter() {
                     paint(&mut rows, r, *iv, sym);
                 }

@@ -7,6 +7,7 @@ use crate::instance::Instance;
 use crate::resource::{ResourceId, ResourceIndex, ResourceMap};
 use crate::schedule::Schedule;
 use crate::validate; // reuse of the per-resource usage collection
+use mmsec_sim::interval::total_length;
 use mmsec_sim::Time;
 
 /// Aggregate utilization and waiting statistics of a schedule.
@@ -67,9 +68,9 @@ pub fn schedule_stats(instance: &Instance, schedule: &Schedule) -> ScheduleStats
     let mut wait_time = Vec::with_capacity(instance.num_jobs());
     let mut offloaded = 0usize;
     for (id, job) in instance.iter_jobs() {
-        let active = schedule.exec[id.0].total_length().seconds()
-            + schedule.up[id.0].total_length().seconds()
-            + schedule.dn[id.0].total_length().seconds();
+        let active = total_length(schedule.exec(id.0)).seconds()
+            + total_length(schedule.up(id.0)).seconds()
+            + total_length(schedule.dn(id.0)).seconds();
         let response = schedule.completion[id.0]
             .map(|c: Time| (c - job.release).seconds())
             .unwrap_or(0.0);

@@ -47,17 +47,17 @@ pub fn schedule_to_svg(instance: &Instance, schedule: &Schedule, opts: SvgOption
         let Some(target) = schedule.alloc[id.0] else {
             continue;
         };
-        let mut add = |phase: Phase, set: &mmsec_sim::IntervalSet| {
-            for iv in set.iter() {
+        let mut add = |phase: Phase, ivs: &[Interval]| {
+            for iv in ivs {
                 for r in phase.resources(job, target).iter() {
                     uses.push((index.index(r), *iv, id, false));
                 }
             }
         };
-        add(Phase::Compute, &schedule.exec[id.0]);
+        add(Phase::Compute, schedule.exec(id.0));
         if matches!(target, Target::Cloud(_)) {
-            add(Phase::Uplink, &schedule.up[id.0]);
-            add(Phase::Downlink, &schedule.dn[id.0]);
+            add(Phase::Uplink, schedule.up(id.0));
+            add(Phase::Downlink, schedule.dn(id.0));
         }
     }
     for seg in &schedule.abandoned {

@@ -19,9 +19,10 @@ use crate::activity::{Phase, Target};
 use crate::instance::Instance;
 use crate::job::JobId;
 use crate::resource::{ResourceId, ResourceIndex};
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, Segment};
+use mmsec_sim::interval::total_length;
 use mmsec_sim::time::approx;
-use mmsec_sim::{Interval, IntervalSet};
+use mmsec_sim::{Interval, Time};
 use std::fmt;
 
 /// Validation knobs.
@@ -190,8 +191,28 @@ fn check_jobs(
     v: &mut Vec<Violation>,
 ) {
     let spec = &instance.spec;
+    // Abandoned segments that start before their job's release, found in
+    // one pass and grouped by job (a stable sort keeps record order), so
+    // the per-job loop reports them without scanning the whole list.
+    let mut early: Vec<&Segment> = schedule
+        .abandoned
+        .iter()
+        .filter(|s| {
+            instance
+                .jobs
+                .get(s.job.0)
+                .is_some_and(|job| approx::lt(s.interval.start().seconds(), job.release.seconds()))
+        })
+        .collect();
+    early.sort_by_key(|s| s.job);
+    let mut next_early = 0;
     for (id, job) in instance.iter_jobs() {
         let i = id.0;
+        // This job's early abandoned segments; those of jobs skipped
+        // below are never reported.
+        let from = next_early + early[next_early..].partition_point(|s| s.job < id);
+        next_early = from + early[from..].partition_point(|s| s.job == id);
+        let early_here = &early[from..next_early];
         let completion = schedule.completion[i];
         if completion.is_none() {
             if opts.require_finished {
@@ -206,7 +227,7 @@ fn check_jobs(
 
         // 2. Release dates (final attempt + abandoned attempts).
         let release = job.release.seconds();
-        let mut check_release = |start: Option<mmsec_sim::Time>| {
+        let mut check_release = |start: Option<Time>| {
             if let Some(s) = start {
                 if approx::lt(s.seconds(), release) {
                     v.push(Violation::BeforeRelease {
@@ -217,17 +238,20 @@ fn check_jobs(
                 }
             }
         };
-        check_release(schedule.exec[i].min_start());
-        check_release(schedule.up[i].min_start());
-        check_release(schedule.dn[i].min_start());
-        for seg in schedule.abandoned.iter().filter(|s| s.job == id) {
+        let (exec, up, dn) = (schedule.exec(i), schedule.up(i), schedule.dn(i));
+        let min_start = |ivs: &[Interval]| ivs.first().map(Interval::start);
+        let max_end = |ivs: &[Interval]| ivs.last().map(Interval::end);
+        check_release(min_start(exec));
+        check_release(min_start(up));
+        check_release(min_start(dn));
+        for seg in early_here {
             check_release(Some(seg.interval.start()));
         }
 
         // 3. Volumes, 4. ordering, and the shape of the allocation.
-        let exec_len = schedule.exec[i].total_length().seconds();
-        let up_len = schedule.up[i].total_length().seconds();
-        let dn_len = schedule.dn[i].total_length().seconds();
+        let exec_len = total_length(exec).seconds();
+        let up_len = total_length(up).seconds();
+        let dn_len = total_length(dn).seconds();
         match target {
             Target::Edge => {
                 let required = job.work / spec.edge_speed(job.origin);
@@ -239,7 +263,7 @@ fn check_jobs(
                         got: exec_len,
                     });
                 }
-                if !schedule.up[i].is_empty() || !schedule.dn[i].is_empty() {
+                if !up.is_empty() || !dn.is_empty() {
                     v.push(Violation::SpuriousCommunication(id));
                 }
             }
@@ -275,9 +299,7 @@ fn check_jobs(
                     });
                 }
                 // max(U_i) ≤ min(E_i), max(E_i) ≤ min(D_i).
-                if let (Some(u_end), Some(e_start)) =
-                    (schedule.up[i].max_end(), schedule.exec[i].min_start())
-                {
+                if let (Some(u_end), Some(e_start)) = (max_end(up), min_start(exec)) {
                     if approx::gt(u_end.seconds(), e_start.seconds()) {
                         v.push(Violation::OutOfOrder {
                             job: id,
@@ -286,9 +308,7 @@ fn check_jobs(
                         });
                     }
                 }
-                if let (Some(e_end), Some(d_start)) =
-                    (schedule.exec[i].max_end(), schedule.dn[i].min_start())
-                {
+                if let (Some(e_end), Some(d_start)) = (max_end(exec), min_start(dn)) {
                     if approx::gt(e_end.seconds(), d_start.seconds()) {
                         v.push(Violation::OutOfOrder {
                             job: id,
@@ -301,14 +321,10 @@ fn check_jobs(
         }
 
         // 1. Completion = end of the last activity.
-        let last_end = [
-            schedule.exec[i].max_end(),
-            schedule.up[i].max_end(),
-            schedule.dn[i].max_end(),
-        ]
-        .into_iter()
-        .flatten()
-        .max();
+        let last_end = [max_end(exec), max_end(up), max_end(dn)]
+            .into_iter()
+            .flatten()
+            .max();
         if let (Some(c), Some(e)) = (completion, last_end) {
             if !c.approx_eq(e) {
                 v.push(Violation::CompletionMismatch {
@@ -340,13 +356,13 @@ pub(crate) fn resource_usage(
     for (id, _) in instance.iter_jobs() {
         let i = id.0;
         if let Some(target) = schedule.alloc[i] {
-            for iv in schedule.exec[i].iter() {
+            for iv in schedule.exec(i) {
                 add(id, Phase::Compute, target, *iv);
             }
-            for iv in schedule.up[i].iter() {
+            for iv in schedule.up(i) {
                 add(id, Phase::Uplink, target, *iv);
             }
-            for iv in schedule.dn[i].iter() {
+            for iv in schedule.dn(i) {
                 add(id, Phase::Downlink, target, *iv);
             }
         }
@@ -392,9 +408,9 @@ fn check_windows(instance: &Instance, schedule: &Schedule, v: &mut Vec<Violation
     if !spec.has_unavailability() {
         return;
     }
-    let mut check = |job: JobId, k: crate::spec::CloudId, set: &IntervalSet| {
+    let mut check = |job: JobId, k: crate::spec::CloudId, ivs: &[Interval]| {
         for w in spec.cloud_unavailability(k).iter() {
-            for iv in set.iter() {
+            for iv in ivs {
                 if let Some(inter) = iv.intersect(w) {
                     if !inter.is_empty() {
                         v.push(Violation::UnavailableCloudUsed { job, window: *w });
@@ -405,13 +421,12 @@ fn check_windows(instance: &Instance, schedule: &Schedule, v: &mut Vec<Violation
     };
     for (id, _) in instance.iter_jobs() {
         if let Some(Target::Cloud(k)) = schedule.alloc[id.0] {
-            check(id, k, &schedule.exec[id.0]);
+            check(id, k, schedule.exec(id.0));
         }
     }
     for seg in &schedule.abandoned {
         if let (Phase::Compute, Target::Cloud(k)) = (seg.phase, seg.target) {
-            let single: IntervalSet = [seg.interval].into_iter().collect();
-            check(seg.job, k, &single);
+            check(seg.job, k, &[seg.interval]);
         }
     }
 }
@@ -502,6 +517,45 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| matches!(e, Violation::BeforeRelease { .. })));
+    }
+
+    #[test]
+    fn detects_abandoned_work_before_release_in_job_order() {
+        let spec = PlatformSpec::builder()
+            .edges(vec![1.0])
+            .cloud_pool(0)
+            .build();
+        let jobs = vec![
+            Job::new(EdgeId(0), 4.0, 1.0, 0.0, 0.0),
+            Job::new(EdgeId(0), 2.0, 1.0, 0.0, 0.0),
+            Job::new(EdgeId(0), 9.0, 1.0, 0.0, 0.0),
+        ];
+        let inst = Instance::new(spec, jobs).unwrap();
+        let mut tb = TraceBuilder::new(3);
+        // Abandoned attempts recorded out of job order: J2's and J1's
+        // start before their releases, J3's does not.
+        tb.record(JobId(1), Phase::Compute, Target::Edge, iv(0.0, 0.5));
+        tb.abandon(JobId(1));
+        tb.record(JobId(0), Phase::Compute, Target::Edge, iv(1.0, 1.5));
+        tb.record(JobId(2), Phase::Compute, Target::Edge, iv(9.0, 9.5));
+        tb.abandon(JobId(0));
+        tb.abandon(JobId(2));
+        tb.record(JobId(0), Phase::Compute, Target::Edge, iv(1.5, 1.75));
+        tb.abandon(JobId(0));
+        for (j, a, b) in [(1, 2.0, 3.0), (0, 4.0, 5.0), (2, 9.5, 10.5)] {
+            tb.record(JobId(j), Phase::Compute, Target::Edge, iv(a, b));
+            tb.complete(JobId(j), Time::new(b));
+        }
+        let errs = validate(&inst, &tb.finish()).unwrap_err();
+        let early = |job: usize, start: f64, release: f64| Violation::BeforeRelease {
+            job: JobId(job),
+            start,
+            release,
+        };
+        assert_eq!(
+            errs,
+            vec![early(0, 1.0, 4.0), early(0, 1.5, 4.0), early(1, 0.0, 2.0)]
+        );
     }
 
     #[test]

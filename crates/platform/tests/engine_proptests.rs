@@ -141,8 +141,8 @@ proptest! {
         prop_assert_eq!(out.stats.restarts, 0);
         prop_assert!(mmsec_platform::validate(&inst, &out.schedule).is_ok());
         for i in 0..inst.num_jobs() {
-            prop_assert!(out.schedule.up[i].is_empty());
-            prop_assert!(out.schedule.dn[i].is_empty());
+            prop_assert!(out.schedule.up(i).is_empty());
+            prop_assert!(out.schedule.dn(i).is_empty());
         }
     }
 

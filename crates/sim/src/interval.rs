@@ -94,6 +94,13 @@ impl fmt::Debug for Interval {
     }
 }
 
+/// Total measure of `intervals` (overlaps counted twice).
+pub fn total_length(intervals: &[Interval]) -> Time {
+    intervals
+        .iter()
+        .fold(Time::ZERO, |acc, iv| acc + iv.length())
+}
+
 /// A set of pairwise-disjoint intervals, kept sorted by start time.
 ///
 /// Inserting an interval that overlaps an existing member is an error at
@@ -168,9 +175,7 @@ impl IntervalSet {
 
     /// Total measure of the set.
     pub fn total_length(&self) -> Time {
-        self.items
-            .iter()
-            .fold(Time::ZERO, |acc, iv| acc + iv.length())
+        total_length(&self.items)
     }
 
     /// Earliest start over all members (`min(E)` in the paper).

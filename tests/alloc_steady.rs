@@ -17,11 +17,15 @@
 //!    protocol layer.
 //! 3. **A served lane**: [`serve::serve`] over an in-memory light-load
 //!    stream — idle gaps, heartbeats, `stats` records, admits and
-//!    completions — under SSF-EDF and under SRPT. A lane forgets its
+//!    completions — under SSF-EDF, SRPT, Edge-Only and Random on a flat
+//!    platform and under SSF-EDF on a two-tier one. A lane forgets its
 //!    finished jobs at each idle point and reuses their storage, so once
 //!    warm it allocates only when a busy period reaches a new high-water
 //!    mark; the exact count over lines 1,001–2,000 is pinned, and lines
 //!    2,001–2,499 make none.
+//! 4. **Finishing a run**: [`Session::into_outcome`] of a drained batch
+//!    session lays the schedule out in a fixed number of allocations,
+//!    the same at n = 500 and at n = 5,000.
 //!
 //! Everything runs inside ONE `#[test]` so the counter can't be
 //! contaminated by a concurrently running sibling test.
@@ -33,8 +37,9 @@ use mmsec_apps::ndjson::{parse_object_into, ObjBuf, ObjWriter};
 use mmsec_apps::serve::{self, ServeConfig};
 use mmsec_bench::load::{script, LoadPlan};
 use mmsec_core::PolicyKind;
-use mmsec_platform::{EdgeId, Instance, Job, PlatformSpec, SessionStatus, Simulation};
+use mmsec_platform::{EdgeId, Instance, Job, PlatformSpec, Session, SessionStatus, Simulation};
 use mmsec_sim::Time;
+use mmsec_workload::RandomCcrConfig;
 
 /// [`System`] with a per-thread allocation-event counter (allocs,
 /// reallocs, and zeroed allocs all count; frees don't — the tests bound
@@ -85,9 +90,25 @@ fn alloc_events(f: impl FnOnce()) -> u64 {
 fn steady_state_hot_paths_do_not_allocate() {
     engine_capped_steps();
     ndjson_record_layer();
-    served_lane(PolicyKind::SsfEdf);
-    served_lane(PolicyKind::Srpt);
+    // Allocation events over lines 1,001–2,000 per policy and platform.
+    // The one source left is reused storage growing past a high-water
+    // mark: the trace log when a busy period records more segments than
+    // any before it (SSF-EDF's one event takes the log from 16 to 32
+    // segments), and the per-job tables when it holds more jobs (SRPT's
+    // two; Edge-Only queues longest, and its longest busy period falls in
+    // these lines).
+    served_lane(PolicyKind::SsfEdf, FLAT, 1);
+    served_lane(PolicyKind::Srpt, FLAT, 2);
+    served_lane(PolicyKind::EdgeOnly, FLAT, 19);
+    served_lane(PolicyKind::Random, FLAT, 1);
+    served_lane(PolicyKind::SsfEdf, TWO_TIER, 1);
+    finishing_a_run();
 }
+
+/// serve-steady's platform: two unit-speed edges, two speed-2 clouds.
+const FLAT: &str = "edge 1.0\nedge 1.0\ncloud 2.0\ncloud 2.0\n";
+/// The same units with one cloud at each of two tiers.
+const TWO_TIER: &str = "edge 1.0\nedge 1.0\nhop 0.5 0.75\nhop 1.5 2.0\ncloud 2.0 1\ncloud 2.0 2\n";
 
 /// Regime 1: capped engine steps in a warm session.
 fn engine_capped_steps() {
@@ -208,11 +229,12 @@ impl std::io::BufRead for MarkedInput {
     }
 }
 
-/// Regime 3: one served lane, warm after its first thousand lines.
-fn served_lane(policy: PolicyKind) {
+/// Regime 3: one served lane, warm after its first thousand lines, on
+/// `platform` (instance text), making exactly `high_water` allocation
+/// events over lines 1,001–2,000 and none over 2,001–2,499.
+fn served_lane(policy: PolicyKind, platform: &str, high_water: u64) {
     // serve-steady's per-tenant traffic: exponential gaps (mean 1 s) and
-    // work (mean 0.8 s) on two unit-speed edges and two speed-2 clouds.
-    // Most submissions find the lane idle.
+    // work (mean 0.8 s). Most submissions find the lane idle.
     let lines: Vec<String> = script(&LoadPlan {
         jobs: 2_500,
         tenants: 1,
@@ -222,8 +244,8 @@ fn served_lane(policy: PolicyKind) {
     .into_iter()
     .map(|job| job.line)
     .collect();
-    let inst =
-        Instance::from_text("edge 1.0\nedge 1.0\ncloud 2.0\ncloud 2.0\n").expect("valid platform");
+    let inst = Instance::from_text(platform).expect("valid platform");
+    let tiers = inst.spec.tier_depth();
     let cfg = ServeConfig {
         policy,
         heartbeat: 5.0,
@@ -242,26 +264,49 @@ fn served_lane(policy: PolicyKind) {
         .iter()
         .map(|m| m.1.expect("every marked line was read"))
         .collect();
-    // The one source left: the schedule trace's per-job segment vectors.
-    // A retire keeps them for the next jobs, so a lane allocates one only
-    // when a busy period holds more jobs than any before it, and grows
-    // one only when a job records more segments than its reused vector
-    // ever held. Both are high-water marks, ever rarer as the lane warms.
-    let high_water = match policy {
-        PolicyKind::SsfEdf => 6,
-        _ => 3,
-    };
     let events = marks[1] - marks[0];
     assert_eq!(
         events, high_water,
-        "a warm served lane ({policy}) allocates only at trace high-water \
-         marks: expected {high_water}, saw {events} allocation event(s) over \
-         lines 1,001-2,000"
+        "a warm served lane ({policy}, {tiers} tier(s)) allocates only at \
+         high-water marks: expected {high_water}, saw {events} allocation \
+         event(s) over lines 1,001-2,000"
     );
     let later = marks[2] - marks[1];
     assert_eq!(
         later, 0,
-        "a warm served lane ({policy}) must be allocation-free per line, \
-         saw {later} allocation event(s) over lines 2,001-2,499"
+        "a warm served lane ({policy}, {tiers} tier(s)) must be \
+         allocation-free per line, saw {later} allocation event(s) over \
+         lines 2,001-2,499"
+    );
+}
+
+/// Regime 4: the allocation events of [`Session::into_outcome`] on a
+/// drained SRPT batch session of `n` random-CCR jobs.
+fn outcome_allocs(n: usize) -> u64 {
+    let inst = RandomCcrConfig {
+        n,
+        ..RandomCcrConfig::default()
+    }
+    .generate(1);
+    let mut policy = PolicyKind::Srpt.build(1);
+    let mut session: Session<'_> = Simulation::of(&inst).policy(policy.as_mut()).session();
+    session
+        .drain()
+        .expect("SRPT drains every random-CCR instance");
+    let mut outcome = None;
+    let events = alloc_events(|| outcome = Some(session.into_outcome()));
+    let outcome = outcome.expect("finished");
+    assert!(outcome.schedule.all_finished());
+    assert_eq!(outcome.schedule.num_jobs(), n);
+    events
+}
+
+/// Regime 4: finishing a run costs the same whatever its job count.
+fn finishing_a_run() {
+    let (small, large) = (outcome_allocs(500), outcome_allocs(5_000));
+    assert_eq!(
+        small, large,
+        "into_outcome must allocate a fixed number of times: {small} \
+         allocation event(s) at n = 500, {large} at n = 5,000"
     );
 }

@@ -107,12 +107,12 @@ fn non_preemptive_phases_are_contiguous() {
         for i in 0..inst.num_jobs() {
             // Each phase of each job runs in at most one contiguous block.
             assert!(
-                out.schedule.exec[i].len() <= 1,
+                out.schedule.exec(i).len() <= 1,
                 "{kind}: job {i} exec preempted: {:?}",
-                out.schedule.exec[i]
+                out.schedule.exec(i)
             );
-            assert!(out.schedule.up[i].len() <= 1);
-            assert!(out.schedule.dn[i].len() <= 1);
+            assert!(out.schedule.up(i).len() <= 1);
+            assert!(out.schedule.dn(i).len() <= 1);
         }
     }
 }

@@ -129,9 +129,9 @@ fn full_overlap_at_time_six_and_a_half() {
     // a downlink (J2) are all in flight.
     let schedule = optimal_schedule();
     let t = 6.5;
-    let active = |set: &mmsec_sim::IntervalSet| set.iter().any(|iv| iv.contains(Time::new(t)));
-    assert!(active(&schedule.exec[5]), "edge computes J6");
-    assert!(active(&schedule.exec[2]), "cloud computes J3");
-    assert!(active(&schedule.up[4]), "J5 uplink in flight");
-    assert!(active(&schedule.dn[1]), "J2 downlink in flight");
+    let active = |ivs: &[Interval]| ivs.iter().any(|iv| iv.contains(Time::new(t)));
+    assert!(active(schedule.exec(5)), "edge computes J6");
+    assert!(active(schedule.exec(2)), "cloud computes J3");
+    assert!(active(schedule.up(4)), "J5 uplink in flight");
+    assert!(active(schedule.dn(1)), "J2 downlink in flight");
 }

@@ -68,7 +68,7 @@ proptest! {
             }
             // Downlink interval sets stay empty for dn = 0 jobs.
             for i in 0..inst.num_jobs() {
-                prop_assert!(out.schedule.dn[i].is_empty());
+                prop_assert!(out.schedule.dn(i).is_empty());
             }
         }
     }
