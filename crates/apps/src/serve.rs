@@ -70,7 +70,7 @@ use mmsec_core::PolicyKind;
 use mmsec_platform::obs::{Event as ObsEvent, FlightRecorder, ObserverHandle, Shared};
 use mmsec_platform::{
     CloudId, EdgeId, Instance, Job, JobId, Observer, PlatformMutation, Session, SessionStatus,
-    Simulation,
+    Simulation, Target,
 };
 use mmsec_sim::Time;
 use std::io::{BufRead, Write};
@@ -447,15 +447,20 @@ fn reset_rec<'w>(w: &'w mut ObjWriter, kind: &str, tenant: Option<&str>) -> &'w 
 }
 
 /// Forwards every engine event to the serve loop's flight recorder and,
-/// when the caller supplied one, to their observer too.
+/// when the caller supplied one, to their observer too. Keeps each
+/// `Completed` event in `completed` for the lane to write.
 struct Tandem<'a> {
     flight: ObserverHandle,
+    completed: Shared<Vec<ObsEvent>>,
     other: Option<&'a mut dyn Observer>,
 }
 
 impl Observer for Tandem<'_> {
     fn on_event(&mut self, event: &ObsEvent) {
         self.flight.on_event(event);
+        if let ObsEvent::Completed { .. } = event {
+            self.completed.with(|c| c.push(event.clone()));
+        }
         if let Some(obs) = self.other.as_deref_mut() {
             obs.on_event(event);
         }
@@ -574,6 +579,9 @@ fn stats_payload(
 /// field (see [`reset_rec`]).
 pub(crate) struct Lane<'a> {
     session: Session<'a>,
+    /// The session's `Completed` events since the last `completion`
+    /// records; drained with its capacity kept.
+    completed: Shared<Vec<ObsEvent>>,
     pulse: Pulse,
     summary: ServeSummary,
     max_pending: Option<usize>,
@@ -602,8 +610,10 @@ impl<'a> Lane<'a> {
         observer: Option<&'o mut dyn Observer>,
     ) -> Self {
         let flight = Shared::new(FlightRecorder::with_capacity(FLIGHT_CAPACITY));
+        let completed = Shared::new(Vec::new());
         let tandem = Tandem {
             flight: flight.handle(),
+            completed: completed.clone(),
             other: observer,
         };
         let session = sim
@@ -616,6 +626,7 @@ impl<'a> Lane<'a> {
         };
         Lane {
             session,
+            completed,
             pulse: Pulse {
                 beat: cfg.heartbeat,
                 next_beat: cfg.heartbeat,
@@ -821,27 +832,41 @@ impl<'a> Lane<'a> {
         }
     }
 
-    /// Drains finished jobs into `completion` records. Uses
-    /// [`Session::drain_completions`] and the reused writer, so the
-    /// steady-state emit path allocates nothing; the per-record `target`
-    /// string goes through the reused scratch buffer for the same reason.
+    /// Writes the session's `Completed` events as `completion` records.
+    /// The event list and the writer are reused, so the steady-state emit
+    /// path allocates nothing; the per-record `target` string goes
+    /// through the reused scratch buffer for the same reason.
     fn emit_completions(&mut self, out: &mut impl Write) -> Result<(), CliError> {
         use std::fmt::Write as _;
-        for c in self.session.drain_completions() {
-            self.summary.completed += 1;
-            self.summary.max_stretch = self.summary.max_stretch.max(c.stretch);
-            self.scratch.clear();
-            let _ = write!(self.scratch, "{}", c.target);
-            reset_rec(&mut self.w, "completion", self.pulse.tenant.as_deref())
-                .num_field("job", c.job.0 as f64)
-                .str_field("target", &self.scratch)
-                .num_field("release", c.release.seconds())
-                .num_field("completion", c.completion.seconds())
-                .num_field("response", c.response())
-                .num_field("stretch", c.stretch);
-            write_line(out, self.w.close())?;
-        }
-        Ok(())
+        self.completed.with(|completed| {
+            for event in completed.drain(..) {
+                let ObsEvent::Completed {
+                    t,
+                    job,
+                    release,
+                    cloud,
+                    response,
+                    stretch,
+                } = event
+                else {
+                    continue;
+                };
+                self.summary.completed += 1;
+                self.summary.max_stretch = self.summary.max_stretch.max(stretch);
+                let target = cloud.map_or(Target::Edge, |k| Target::Cloud(CloudId(k)));
+                self.scratch.clear();
+                let _ = write!(self.scratch, "{target}");
+                reset_rec(&mut self.w, "completion", self.pulse.tenant.as_deref())
+                    .num_field("job", job as f64)
+                    .str_field("target", &self.scratch)
+                    .num_field("release", release.seconds())
+                    .num_field("completion", t.seconds())
+                    .num_field("response", response)
+                    .num_field("stretch", stretch);
+                write_line(out, self.w.close())?;
+            }
+            Ok(())
+        })
     }
 
     /// Writes a `heartbeat` (`line: None`) or the `stats` record of input

@@ -462,6 +462,11 @@ mod tests {
                 "cloud-tiers",
                 "bad-value",
             ),
+            (
+                r#"{"type":"spec","clouds":1,"unavail":"0:1:5;0:3:8"}"#,
+                "",
+                "bad-spec",
+            ),
         ];
         for (line, field, code) in cases {
             let fields = crate::ndjson::parse_object(line).unwrap();

@@ -256,11 +256,10 @@ fn bench_decide_path_high_n(c: &mut Criterion) {
             Simulation::of(&inst).policy(policy.as_mut()).run().unwrap()
         });
     });
-    // n=50_000: an order of magnitude past the CI smoke sizes, where the
-    // calendar queue's O(1) pops and the arena's flat columns are the
-    // difference between seconds and minutes. Sample count is minimal —
-    // the point is a wall guarding against superlinear regressions, not
-    // a tight mean.
+    // n=50_000: an order of magnitude past the CI smoke sizes, where a
+    // cost growing faster than the job count would show. Sample count is
+    // minimal — the point is a wall guarding against superlinear
+    // regressions, not a tight mean.
     let cfg = RandomCcrConfig {
         n: 50_000,
         ..RandomCcrConfig::default()

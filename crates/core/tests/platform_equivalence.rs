@@ -159,8 +159,8 @@ proptest! {
     }
 
     /// A mid-run platform mutation lands at an arbitrary paused instant —
-    /// almost always strictly *inside* a calendar bucket, between two
-    /// rotations — and bumps the decision epoch there. Every policy's
+    /// almost always strictly between two queued events, where no release
+    /// or boundary fires — and bumps the decision epoch there. Every policy's
     /// incremental state (gated decides, cached plans, round state keyed
     /// by platform version) must absorb it exactly like its reference
     /// mode, which recomputes from scratch at every event: schedules stay

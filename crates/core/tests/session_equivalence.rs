@@ -18,8 +18,9 @@
 
 use mmsec_core::PolicyKind;
 use mmsec_faults::FaultConfig;
+use mmsec_platform::obs::Event;
 use mmsec_platform::{
-    max_stretch, validate, CloudId, CompletionRecord, EdgeId, Instance, Job, PlatformMutation,
+    max_stretch, validate, CloudId, EdgeId, Instance, Job, Observer, PlatformMutation,
     PlatformSpec, Session, Simulation,
 };
 use mmsec_sim::Time;
@@ -261,24 +262,39 @@ fn mutation(session: &Session<'_>, op: u8, unit: usize, value: f64) -> Option<Pl
     })
 }
 
-/// A completion record's fields, with floats as bits.
-type CompletionBits = (usize, usize, String, u64, u64, u64);
+/// A `Completed` event's fields, with floats as bits.
+type CompletionBits = (usize, Option<usize>, u64, u64, u64, u64);
 
-/// Everything a served lane reads off a session, with floats as bits.
-fn completion_bits(c: &CompletionRecord) -> CompletionBits {
-    (
-        c.job.0,
-        c.origin.0,
-        c.target.to_string(),
-        c.release.seconds().to_bits(),
-        c.completion.seconds().to_bits(),
-        c.stretch.to_bits(),
-    )
+/// Everything a served lane reads off a session's `Completed` events,
+/// with floats as bits, in emission order.
+struct Completions(Vec<CompletionBits>);
+
+impl Observer for Completions {
+    fn on_event(&mut self, event: &Event) {
+        if let Event::Completed {
+            t,
+            job,
+            release,
+            cloud,
+            response,
+            stretch,
+        } = *event
+        {
+            self.0.push((
+                job,
+                cloud,
+                release.seconds().to_bits(),
+                t.seconds().to_bits(),
+                response.to_bits(),
+                stretch.to_bits(),
+            ));
+        }
+    }
 }
 
 /// What a session fed a stream reported.
 struct Served {
-    /// Every completion record, in order.
+    /// Every `Completed` event, in order.
     completions: Vec<CompletionBits>,
     /// The outcome of every advance, submission, mutation and the drain.
     steps: Vec<String>,
@@ -298,10 +314,11 @@ fn serve_stream(
     retire: bool,
 ) -> Served {
     let empty = Instance::new(spec.clone(), Vec::new()).expect("empty instance");
+    let mut completions = Completions(Vec::new());
     let mut session = Simulation::of(&empty)
         .policy_boxed(kind.build(policy_seed))
+        .observer(&mut completions)
         .session();
-    let mut completions = Vec::new();
     let mut steps = Vec::new();
     let mut most_held = 0;
     let mut arrival = 0.0;
@@ -313,7 +330,6 @@ fn serve_stream(
         if Time::new(arrival) > session.now() {
             steps.push(format!("{:?}", session.run_until(Time::new(arrival))));
         }
-        completions.extend(session.drain_completions().map(|c| completion_bits(&c)));
         match *line {
             Line::Job {
                 late,
@@ -340,7 +356,6 @@ fn serve_stream(
         }
     }
     steps.push(format!("{:?}", session.drain()));
-    completions.extend(session.drain_completions().map(|c| completion_bits(&c)));
     let s = session.snapshot();
     let counters = vec![
         s.now.seconds().to_bits(),
@@ -357,8 +372,9 @@ fn serve_stream(
         s.run.restarts,
         session.platform().version(),
     ];
+    drop(session);
     Served {
-        completions,
+        completions: completions.0,
         steps,
         counters,
         most_held,
@@ -370,8 +386,8 @@ proptest! {
 
     /// A session that retires its finished jobs before every submission
     /// is indistinguishable from one that keeps them: the same
-    /// completion records (ids, targets, instants and stretches bit for
-    /// bit), the same outcome of every step, and the same final counters,
+    /// completions (ids, clouds, instants and stretches bit for bit), the
+    /// same outcome of every step, and the same final counters,
     /// for the whole policy registry.
     #[test]
     fn retiring_finished_jobs_is_invisible(

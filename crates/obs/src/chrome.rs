@@ -263,6 +263,7 @@ impl Observer for ChromeTraceWriter {
                 job,
                 response,
                 stretch,
+                ..
             } => {
                 self.instant(
                     "complete",
@@ -398,6 +399,8 @@ mod tests {
         writer.on_event(&Event::Completed {
             t: Time::new(2.0),
             job: 0,
+            release: Time::ZERO,
+            cloud: Some(0),
             response: 2.0,
             stretch: 1.0,
         });

@@ -341,6 +341,8 @@ mod tests {
         fr.on_event(&Event::Completed {
             t: Time::new(2.0),
             job: 1,
+            release: Time::new(0.5),
+            cloud: None,
             response: 1.5,
             stretch: 3.0,
         });

@@ -213,6 +213,12 @@ pub enum Event {
         t: Time,
         /// Completed job index.
         job: usize,
+        /// The job's declared release date (a job submitted late to a
+        /// session keeps it, though it ran from its submission).
+        release: Time,
+        /// The cloud processor the successful attempt ran on (`None` for
+        /// a job that ran on its own edge), as in `Placed`.
+        cloud: Option<usize>,
         /// Response time `completion − release` in virtual seconds.
         response: f64,
         /// Achieved stretch: response divided by the job's fastest

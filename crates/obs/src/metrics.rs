@@ -420,6 +420,8 @@ mod tests {
         rec.on_event(&Event::Completed {
             t: Time::new(2.0),
             job: 0,
+            release: Time::ZERO,
+            cloud: Some(0),
             response: 2.0,
             stretch: 4.0,
         });

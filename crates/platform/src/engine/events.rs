@@ -7,7 +7,7 @@ use crate::job::JobId;
 use crate::spec::{CloudId, EdgeId};
 use mmsec_faults::{FaultBoundary, FaultPlan};
 use mmsec_obs::{PhaseKind, Unit};
-use mmsec_sim::CalendarQueue;
+use mmsec_sim::EventQueue;
 
 /// A future decision point known in advance (phase completions are
 /// discovered dynamically and never enter the queue: the engine advances
@@ -49,7 +49,7 @@ pub(super) const RANK_RELEASE: u8 = 2;
 /// Every rank currently queued qualifies — boundaries flip blocked
 /// resources, fault transitions flip availability, releases change the
 /// pending membership. The classification is by rank (via
-/// [`CalendarQueue::pop_ranked`]) so a future bookkeeping-only
+/// [`EventQueue::pop_ranked`]) so a future bookkeeping-only
 /// rank can opt out without the engine matching on payloads; the one
 /// payload-level refinement is a [`EngineEvent::LinkChange`] that re-reads
 /// an unchanged factor, which the engine demotes to a no-op itself.
@@ -66,7 +66,7 @@ pub(super) fn is_fault_event(ev: &EngineEvent) -> bool {
 
 /// Pushes every availability boundary of a compiled fault plan into the
 /// queue (called right after [`prime_queue`] when a plan is supplied).
-pub(super) fn prime_faults(queue: &mut CalendarQueue<EngineEvent>, plan: &FaultPlan) {
+pub(super) fn prime_faults(queue: &mut EventQueue<EngineEvent>, plan: &FaultPlan) {
     for b in plan.boundaries() {
         // Recoveries take the earlier rank (see the rank table above);
         // crashes and link changes fire after them at equal times.
@@ -88,8 +88,8 @@ pub(super) fn prime_faults(queue: &mut CalendarQueue<EngineEvent>, plan: &FaultP
 
 /// Builds the initial event queue: one release per job plus both
 /// boundaries of every cloud availability window.
-pub(super) fn prime_queue(instance: &Instance) -> CalendarQueue<EngineEvent> {
-    let mut queue = CalendarQueue::new();
+pub(super) fn prime_queue(instance: &Instance) -> EventQueue<EngineEvent> {
+    let mut queue = EventQueue::new();
     for (id, job) in instance.iter_jobs() {
         queue.push(job.release, RANK_RELEASE, EngineEvent::Release(id));
     }
@@ -145,6 +145,15 @@ pub(super) fn obs_unit(origin: EdgeId, target: Target, phase: Phase) -> Unit {
         (Phase::Compute, Target::Cloud(k)) => Unit::Cloud(k.0),
         (Phase::Compute, Target::Edge) => Unit::Edge(origin.0),
         (Phase::Uplink | Phase::Downlink, _) => Unit::Edge(origin.0),
+    }
+}
+
+/// The cloud a job is committed to, in observer terms (`None` for a job
+/// on its own edge): the `cloud` field of `Placed` and `Completed`.
+pub(super) fn obs_cloud(target: Target) -> Option<usize> {
+    match target {
+        Target::Cloud(k) => Some(k.0),
+        Target::Edge => None,
     }
 }
 

@@ -70,7 +70,7 @@ pub mod simulation;
 
 pub use grant::{greedy_allocate, remaining_volume, Activation};
 pub use outcome::{EngineError, RunOutcome, RunStats};
-pub use session::{CompletionRecord, Session, SessionStats, SessionStatus};
+pub use session::{Session, SessionStats, SessionStatus};
 pub use simulation::Simulation;
 
 use crate::activity::DirectiveBuffer;

@@ -36,9 +36,9 @@
 //! every job it ever admitted. [`Session::retire_finished`] drops them
 //! all at an idle point — when every held job has finished — and keeps
 //! the storage for the jobs to come. Public job ids keep counting: the
-//! ids [`Session::submit`] returns, [`CompletionRecord::job`], observer
-//! events and [`SessionStats::submitted`] are offset by the number of
-//! retired jobs, while the engine and the policy index the held jobs
+//! ids [`Session::submit`] returns, observer events and
+//! [`SessionStats::submitted`] are offset by the number of retired jobs,
+//! while the engine and the policy index the held jobs
 //! densely from 0. Relative id order is unchanged, so every tie-break by
 //! id is too, and a retiring session's completions are bit-identical to
 //! a session that never retires (the `session_equivalence` proptest pins
@@ -56,14 +56,14 @@ use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use super::events::{
-    self, obs_phase, obs_unit, prime_faults, prime_queue, EngineEvent, RANK_RELEASE,
+    self, obs_cloud, obs_phase, obs_unit, prime_faults, prime_queue, EngineEvent, RANK_RELEASE,
 };
 use super::grant::{self, greedy_allocate, Activation};
 use super::outcome::{EngineError, RunOutcome, RunStats};
 use super::{DecisionCadence, EngineOptions, OnlineScheduler};
 use mmsec_faults::FaultPlan;
 use mmsec_obs::{EnginePhase, Event as ObsEvent, Observer, PhaseProfiler, Unit};
-use mmsec_sim::{CalendarQueue, Interval, Time};
+use mmsec_sim::{EventQueue, Interval, Time};
 
 /// Evaluates the event expression only when an observer is attached: an
 /// unobserved session pays one branch per emission point and nothing else.
@@ -148,31 +148,6 @@ pub enum SessionStatus {
     Blocked,
 }
 
-/// A completed job, as accumulated by the session between
-/// [`Session::drain_completions`] calls.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CompletionRecord {
-    /// The job's public id (retired jobs included in the numbering).
-    pub job: JobId,
-    /// Origin edge unit.
-    pub origin: EdgeId,
-    /// Target the final (successful) attempt ran on.
-    pub target: Target,
-    /// Declared release date.
-    pub release: Time,
-    /// Completion time.
-    pub completion: Time,
-    /// Stretch `(C_i − r_i) / min(t^e_i, t^c_i)` — the paper's objective.
-    pub stretch: f64,
-}
-
-impl CompletionRecord {
-    /// Response time `C_i − r_i`, in seconds.
-    pub fn response(&self) -> f64 {
-        (self.completion - self.release).seconds()
-    }
-}
-
 /// A point-in-time summary of a running session (see
 /// [`Session::snapshot`]). Cheap to produce: no allocation.
 #[derive(Clone, Copy, Debug)]
@@ -203,9 +178,10 @@ pub struct SessionStats {
 ///
 /// Build one through [`super::simulation::Simulation::session`]; drive it
 /// with [`Session::submit`], [`Session::step`], [`Session::run_until`],
-/// and [`Session::drain`]; read progress with [`Session::snapshot`] and
-/// [`Session::drain_completions`]; convert the finished run into a
-/// [`RunOutcome`] with [`Session::into_outcome`].
+/// and [`Session::drain`]; read progress with [`Session::snapshot`], and
+/// each finished job from the observer's
+/// [`Completed`](mmsec_obs::Event::Completed) event; convert the finished
+/// run into a [`RunOutcome`] with [`Session::into_outcome`].
 pub struct Session<'a> {
     scheduler: SchedSlot<'a>,
     observer: ObsSlot<'a>,
@@ -234,7 +210,7 @@ pub struct Session<'a> {
     /// hot loops below index individual columns so each sweep touches
     /// contiguous memory.
     jobs: JobArena,
-    queue: CalendarQueue<EngineEvent>,
+    queue: EventQueue<EngineEvent>,
     /// The owned, versioned platform runtime. All platform changes —
     /// permanent mutations ([`Session::add_edge`] and friends) and fault
     /// replay — flow through it; while it stays static the engine takes
@@ -268,7 +244,6 @@ pub struct Session<'a> {
     /// on the (overwhelmingly common) window-free platforms.
     has_unavailability: bool,
 
-    completions: Vec<CompletionRecord>,
     completed: usize,
     stretch_sum: f64,
     stretch_max: f64,
@@ -372,7 +347,6 @@ impl<'a> Session<'a> {
             skip: vec![false; n],
             seen: vec![0u64; n],
             has_unavailability,
-            completions: Vec::new(),
             completed: 0,
             stretch_sum: 0.0,
             stretch_max: 0.0,
@@ -785,14 +759,6 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Drains the completion records accumulated since the last call (in
-    /// completion order), keeping the buffer's capacity: a steady-state
-    /// consumer loop (e.g. `mmsec serve`) never re-allocates the backlog
-    /// storage.
-    pub fn drain_completions(&mut self) -> impl Iterator<Item = CompletionRecord> + '_ {
-        self.completions.drain(..)
-    }
-
     /// Finalizes the session into a batch-style [`RunOutcome`]. After a
     /// [`Session::retire_finished`], the schedule covers only the jobs
     /// submitted since then, indexed from 0.
@@ -1162,10 +1128,7 @@ impl<'a> Session<'a> {
                         job: self.retired + act.job.0,
                         origin: self.instance.job(act.job).origin.0,
                         target: obs_unit(self.instance.job(act.job).origin, act.target, act.phase),
-                        cloud: match act.target {
-                            Target::Cloud(k) => Some(k.0),
-                            Target::Edge => None,
-                        },
+                        cloud: obs_cloud(act.target),
                         phase: obs_phase(act.phase),
                         interval: Interval::new(self.now, t_adv),
                         volume: if act.phase == Phase::Compute {
@@ -1206,19 +1169,13 @@ impl<'a> Session<'a> {
                 self.completed += 1;
                 self.stretch_sum += stretch;
                 self.stretch_max = self.stretch_max.max(stretch);
-                self.completions.push(CompletionRecord {
-                    job: JobId(self.retired + i),
-                    origin: job.origin,
-                    target: act.target,
-                    release: job.release,
-                    completion: self.now,
-                    stretch,
-                });
                 emit!(
                     self,
                     ObsEvent::Completed {
                         t: self.now,
                         job: self.retired + i,
+                        release: job.release,
+                        cloud: obs_cloud(act.target),
                         response: (self.now - job.release).seconds(),
                         stretch,
                     }

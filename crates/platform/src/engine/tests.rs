@@ -673,6 +673,17 @@ mod faults {
 mod session {
     use super::*;
 
+    /// Every `Completed` event of a session, in emission order.
+    #[derive(Default)]
+    struct Completions(Vec<ObsEvent>);
+    impl Observer for Completions {
+        fn on_event(&mut self, event: &ObsEvent) {
+            if let ObsEvent::Completed { .. } = event {
+                self.0.push(event.clone());
+            }
+        }
+    }
+
     #[test]
     fn mid_run_submit_is_bit_identical_to_batch() {
         // Batch: both jobs known up front.
@@ -756,7 +767,11 @@ mod session {
         // job exhausts `1000 + 64·n` and aborts a healthy run.
         let inst = single_job_instance(500.0, 0.0, 0.0); // edge speed 0.5: 1000 s.
         let mut policy = AllEdgeFifo;
-        let mut session = Simulation::of(&inst).policy(&mut policy).session();
+        let mut done = Completions::default();
+        let mut session = Simulation::of(&inst)
+            .policy(&mut policy)
+            .observer(&mut done)
+            .session();
         for k in 1..=2000 {
             assert_eq!(
                 session.run_until(Time::new(k as f64 * 0.1)).unwrap(),
@@ -767,7 +782,8 @@ mod session {
             .submit(Job::new(EdgeId(0), 200.0, 1.0, 0.0, 0.0))
             .unwrap();
         session.drain().unwrap();
-        assert_eq!(session.drain_completions().count(), 2);
+        drop(session);
+        assert_eq!(done.0.len(), 2);
     }
 
     #[test]
@@ -795,7 +811,11 @@ mod session {
     fn late_submission_runs_now_but_keeps_declared_release() {
         let inst = single_job_instance(1.0, 0.0, 0.0); // edge speed 0.5: done at 2.
         let mut policy = AllEdgeFifo;
-        let mut session = Simulation::of(&inst).policy(&mut policy).session();
+        let mut done = Completions::default();
+        let mut session = Simulation::of(&inst)
+            .policy(&mut policy)
+            .observer(&mut done)
+            .session();
         assert_eq!(
             session.run_until(Time::new(4.0)).unwrap(),
             SessionStatus::Done
@@ -807,16 +827,24 @@ mod session {
             .submit(Job::new(EdgeId(0), 1.0, 1.0, 0.0, 0.0))
             .unwrap();
         session.drain().unwrap();
-        let recs: Vec<_> = session.drain_completions().collect();
-        assert_eq!(recs.len(), 2);
-        let late = recs[1];
-        assert_eq!(late.release, Time::new(1.0));
-        assert_eq!(late.completion, Time::new(4.0)); // starts at 2, runs 2.
-                                                     // Stretch is measured from the declared release, over the fastest
-                                                     // processing time min(t^e, t^c) = min(2, 1): (4 − 1) / 1.
-        assert!((late.stretch - 3.0).abs() < 1e-12);
-        // Records are handed over exactly once.
-        assert_eq!(session.drain_completions().count(), 0);
+        drop(session);
+        assert_eq!(done.0.len(), 2);
+        let ObsEvent::Completed {
+            t,
+            release,
+            cloud,
+            stretch,
+            ..
+        } = done.0[1]
+        else {
+            unreachable!("only completions are kept")
+        };
+        assert_eq!(release, Time::new(1.0));
+        assert_eq!(t, Time::new(4.0)); // starts at 2, runs 2.
+        assert_eq!(cloud, None);
+        // Stretch is measured from the declared release, over the fastest
+        // processing time min(t^e, t^c) = min(2, 1): (4 − 1) / 1.
+        assert!((stretch - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -897,21 +925,26 @@ mod session {
                 }
             }
         }
-        /// Every job id an observer event carries.
-        struct Ids(Vec<usize>);
+        /// Every job id an observer event carries, and the completed ones
+        /// apart.
+        struct Ids(Vec<usize>, Vec<usize>);
         impl Observer for Ids {
             fn on_event(&mut self, event: &ObsEvent) {
                 match *event {
-                    ObsEvent::JobSubmitted { job, .. }
-                    | ObsEvent::JobReleased { job, .. }
-                    | ObsEvent::Completed { job, .. } => self.0.push(job),
+                    ObsEvent::JobSubmitted { job, .. } | ObsEvent::JobReleased { job, .. } => {
+                        self.0.push(job)
+                    }
+                    ObsEvent::Completed { job, .. } => {
+                        self.0.push(job);
+                        self.1.push(job);
+                    }
                     _ => {}
                 }
             }
         }
         let inst = single_job_instance(1.0, 0.0, 0.0); // edge 0.5: done at 2.
         let mut policy = Retiring(Vec::new());
-        let mut ids = Ids(Vec::new());
+        let mut ids = Ids(Vec::new(), Vec::new());
         let mut session = Simulation::of(&inst)
             .policy(&mut policy)
             .observer(&mut ids)
@@ -945,8 +978,6 @@ mod session {
             Err(crate::instance::InstanceError::OriginOutOfRange { job: 3, origin: 3 })
         );
         session.drain().unwrap();
-        let jobs: Vec<usize> = session.drain_completions().map(|c| c.job.0).collect();
-        assert_eq!(jobs, [0, 1, 2]);
         assert_eq!(session.snapshot().submitted, 3);
         // The outcome covers the jobs since the retire only.
         let out = session.into_outcome();
@@ -954,6 +985,7 @@ mod session {
         assert_eq!(out.schedule.completion[0], Some(Time::new(22.0)));
         assert_eq!(policy.0, [0]);
         assert_eq!(ids.0, [1, 0, 1, 0, 1, 2, 2, 2]);
+        assert_eq!(ids.1, [0, 1, 2]);
     }
 
     #[test]

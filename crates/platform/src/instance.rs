@@ -240,7 +240,7 @@ impl Instance {
         let mut cloud_tiers: Vec<Option<usize>> = Vec::new();
         let mut tiered_cloud_line: Option<usize> = None;
         let mut hops: Vec<(f64, f64)> = Vec::new();
-        let mut windows: Vec<(usize, f64, f64)> = Vec::new();
+        let mut windows: Vec<(usize, usize, f64, f64)> = Vec::new();
         let mut jobs = Vec::new();
 
         for (lineno, raw) in text.lines().enumerate() {
@@ -309,7 +309,7 @@ impl Instance {
                             message: format!("window end {b} precedes its start {a}"),
                         });
                     }
-                    windows.push((k, a, b));
+                    windows.push((lineno + 1, k, a, b));
                 }
                 "job" => {
                     let origin = index(toks.next(), "origin")?;
@@ -347,16 +347,21 @@ impl Instance {
             Some(TierTopology::new(&hops, tier_of)?)
         };
         let mut spec = PlatformSpec::try_from_parts(edge_speeds, cloud_speeds, tiers)?;
-        for (k, a, b) in windows {
+        for (line, k, a, b) in windows {
             if k >= spec.num_cloud() {
                 return Err(InstanceError::Spec(SpecError::WindowOutOfRange {
                     cloud: k,
                 }));
             }
-            spec = spec.with_cloud_unavailability(
-                CloudId(k),
-                &[Interval::new(Time::new(a), Time::new(b))],
-            );
+            let window = Interval::new(Time::new(a), Time::new(b));
+            if let Err(earlier) = spec.add_cloud_unavailability(CloudId(k), window) {
+                return Err(InstanceError::Parse {
+                    line,
+                    message: format!(
+                        "window {window:?} on cloud {k} overlaps {earlier:?}, declared earlier"
+                    ),
+                });
+            }
         }
         Instance::new(spec, jobs)
     }
@@ -614,6 +619,29 @@ mod tests {
                 "{bad}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn overlapping_windows_are_parse_errors_at_the_later_line() {
+        for later in [
+            "window 0 3 8",
+            "window 0 2 3",
+            "window 0 1 5",
+            "window 0 0 9",
+        ] {
+            let text = format!("edge 1\ncloud 1\ncloud 1\nwindow 0 1 5\n{later}\njob 0 0 1 0 0\n");
+            let err = Instance::from_text(&text).unwrap_err();
+            assert!(
+                matches!(err, InstanceError::Parse { line: 5, ref message }
+                    if message.contains("overlaps")),
+                "{later}: {err}"
+            );
+        }
+        // Touching windows, and windows on different clouds, are fine.
+        let text = "edge 1\ncloud 1\ncloud 1\nwindow 0 1 5\nwindow 0 5 8\nwindow 1 3 8\n";
+        let inst = Instance::from_text(text).unwrap();
+        assert_eq!(inst.spec.cloud_unavailability(CloudId(0)).len(), 1);
+        assert_eq!(inst.spec.cloud_unavailability(CloudId(1)).len(), 1);
     }
 
     #[test]

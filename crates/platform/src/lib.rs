@@ -43,8 +43,8 @@ pub mod view;
 
 pub use activity::{Directive, DirectiveBuffer, Phase, Target};
 pub use engine::{
-    CompletionRecord, DecisionCadence, EngineError, EngineOptions, OnlineScheduler, RunOutcome,
-    RunStats, Session, SessionStats, SessionStatus, Simulation,
+    DecisionCadence, EngineError, EngineOptions, OnlineScheduler, RunOutcome, RunStats, Session,
+    SessionStats, SessionStatus, Simulation,
 };
 // Observability surface (see `mmsec-obs` and `docs/observability.md`).
 pub use instance::{figure1_instance, Instance, InstanceBuilder, InstanceError};

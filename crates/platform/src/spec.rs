@@ -53,6 +53,11 @@ pub enum SpecError {
         /// Offending cloud index.
         cloud: usize,
     },
+    /// Two unavailability windows of one cloud processor overlap.
+    OverlappingWindows {
+        /// Offending cloud index.
+        cloud: usize,
+    },
     /// A tier hop's link-time factor is non-positive or non-finite (or
     /// the hop chain is empty).
     BadHop {
@@ -85,6 +90,12 @@ impl fmt::Display for SpecError {
                 write!(
                     f,
                     "unavailability window for nonexistent cloud processor {cloud}"
+                )
+            }
+            SpecError::OverlappingWindows { cloud } => {
+                write!(
+                    f,
+                    "overlapping unavailability windows on cloud processor {cloud}"
                 )
             }
             SpecError::BadHop { hop, value } => {
@@ -150,13 +161,23 @@ impl PlatformSpec {
     /// extension). Overlapping windows are merged-rejected by
     /// [`IntervalSet`]; panics on overlap.
     pub fn with_cloud_unavailability(mut self, k: CloudId, windows: &[Interval]) -> Self {
-        assert!(k.0 < self.cloud_speeds.len(), "cloud index out of range");
         for w in windows {
-            self.cloud_unavailability[k.0]
-                .insert(*w)
+            self.add_cloud_unavailability(k, *w)
                 .expect("overlapping unavailability windows");
         }
         self
+    }
+
+    /// Adds one unavailability window for cloud processor `k`, or
+    /// returns the declared window it overlaps (the set is unchanged
+    /// then).
+    pub(crate) fn add_cloud_unavailability(
+        &mut self,
+        k: CloudId,
+        window: Interval,
+    ) -> Result<(), Interval> {
+        assert!(k.0 < self.cloud_speeds.len(), "cloud index out of range");
+        self.cloud_unavailability[k.0].insert(window)
     }
 
     /// Checks the platform invariants.
@@ -510,7 +531,8 @@ impl SpecBuilder {
             if k >= spec.num_cloud() {
                 return Err(SpecError::WindowOutOfRange { cloud: k });
             }
-            spec = spec.with_cloud_unavailability(CloudId(k), &[w]);
+            spec.add_cloud_unavailability(CloudId(k), w)
+                .map_err(|_| SpecError::OverlappingWindows { cloud: k })?;
         }
         Ok(spec)
     }
@@ -636,6 +658,19 @@ mod tests {
         assert!(spec.has_unavailability());
         assert!(spec.cloud_unavailability(CloudId(0)).is_empty());
         assert_eq!(spec.cloud_unavailability(CloudId(1)).len(), 1);
+    }
+
+    #[test]
+    fn builder_rejects_overlapping_windows() {
+        let err = PlatformSpec::builder()
+            .edge(1.0)
+            .cloud_pool(2)
+            .unavailability(CloudId(1), Interval::from_secs(1.0, 5.0))
+            .unavailability(CloudId(0), Interval::from_secs(3.0, 8.0))
+            .unavailability(CloudId(1), Interval::from_secs(3.0, 8.0))
+            .try_build()
+            .unwrap_err();
+        assert_eq!(err, SpecError::OverlappingWindows { cloud: 1 });
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! A binary-heap priority queue keyed by `(time, rank, sequence)`:
 //! * `time` — virtual instant at which the event fires;
 //! * `rank` — caller-supplied small integer used to order simultaneous
-//!   events of different kinds deterministically (e.g. completions before
-//!   releases, so that freed resources are visible to newly released jobs);
+//!   events of different kinds deterministically (e.g. availability
+//!   boundaries before releases, so that a decision taken at a window's
+//!   edge already sees the new availability);
 //! * `sequence` — monotonically increasing insertion counter that breaks
 //!   the remaining ties, making the pop order a pure function of the push
 //!   order.
@@ -176,6 +177,45 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((Time::new(5.0), 42)));
         assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn drained_queue_accepts_late_pushes() {
+        // Drain completely, then push later events (a `Session::submit`
+        // while blocked does exactly this) and pop them in order.
+        let mut q = EventQueue::new();
+        q.push(Time::new(1.0), 0, "a");
+        q.push(Time::new(2.0), 0, "b");
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert!(q.is_empty());
+        q.push(Time::new(10.0), 1, "late");
+        q.push(Time::new(10.0), 0, "later-but-ranked-first");
+        q.push(Time::new(5.0), 3, "soon");
+        assert_eq!(q.peek_time(), Some(Time::new(5.0)));
+        assert_eq!(q.pop().unwrap().1, "soon");
+        assert_eq!(q.pop().unwrap().1, "later-but-ranked-first");
+        assert_eq!(q.pop().unwrap().1, "late");
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn all_events_at_one_instant_pop_by_rank_then_push_order() {
+        let mut q = EventQueue::new();
+        for i in 0..100u32 {
+            q.push(Time::new(7.0), (i % 3) as u8, i);
+        }
+        let mut prev: Option<(u8, u32)> = None;
+        let mut n = 0;
+        while let Some((t, rank, v)) = q.pop_ranked() {
+            assert_eq!(t, Time::new(7.0));
+            if let Some((pr, pv)) = prev {
+                assert!(rank > pr || (rank == pr && v > pv));
+            }
+            prev = Some((rank, v));
+            n += 1;
+        }
+        assert_eq!(n, 100);
     }
 
     #[test]

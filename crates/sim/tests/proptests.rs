@@ -2,7 +2,7 @@
 
 use mmsec_sim::interval::{Interval, IntervalSet};
 use mmsec_sim::time::Time;
-use mmsec_sim::{CalendarQueue, EventQueue};
+use mmsec_sim::EventQueue;
 use proptest::prelude::*;
 
 /// Strategy: a well-formed interval with endpoints in [0, 1000].
@@ -71,13 +71,14 @@ proptest! {
         prop_assert!(seen.into_iter().all(|s| s));
     }
 
-    /// The calendar queue's pop stream is bit-identical to the reference
-    /// heap's under an arbitrary interleaving of pushes (including
-    /// simultaneous instants, rank ties, and far-future outliers) and
-    /// pops. This is the substrate half of the engine's queue-equivalence
-    /// guarantee.
+    /// The queue pops exactly what a sorted-`Vec` model of its
+    /// `(time, rank, seq)` key pops, under an arbitrary interleaving of
+    /// pushes (including simultaneous instants, rank ties, and far-future
+    /// outliers) and peeks and pops. The model is the contract itself:
+    /// the earliest time first, then the lowest rank, then the earliest
+    /// push. Every engine schedule rests on this order.
     #[test]
-    fn calendar_queue_matches_heap(
+    fn event_queue_matches_sorted_model(
         ops in prop::collection::vec(
             // (is_push, time offset kind, rank) — offsets picked so pushes
             // never precede the popped frontier.
@@ -85,39 +86,40 @@ proptest! {
             1..300,
         ),
     ) {
-        let mut cal = CalendarQueue::new();
-        let mut heap = EventQueue::new();
+        let mut queue = EventQueue::new();
+        // Pending `(time, rank, seq)` keys, sorted descending: the next
+        // event to fire is the last one.
+        let mut model: Vec<(Time, u8, u64)> = Vec::new();
         let mut frontier = 0.0f64;
-        let mut id = 0u64;
+        let mut seq = 0u64;
         for (is_push, kind, rank, jitter) in ops {
             if is_push {
                 let offset = match kind {
                     0 => 0.0,            // exactly simultaneous
                     1 => 1.0e8,          // far-future outlier
-                    2 => jitter * 1e-4,  // sub-bucket spacing
+                    2 => jitter * 1e-4,  // near-simultaneous spacing
                     _ => jitter,
                 };
                 let t = Time::new(frontier + offset);
-                cal.push(t, rank, id);
-                heap.push(t, rank, id);
-                id += 1;
+                queue.push(t, rank, seq);
+                let key = (t, rank, seq);
+                let at = model.partition_point(|k| *k > key);
+                model.insert(at, key);
+                seq += 1;
             } else {
-                prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                let a = cal.pop_ranked();
-                let b = heap.pop_ranked();
-                prop_assert_eq!(a, b);
-                if let Some((t, _, _)) = a {
+                prop_assert_eq!(queue.peek_time(), model.last().map(|k| k.0));
+                let popped = queue.pop_ranked();
+                prop_assert_eq!(popped, model.pop());
+                if let Some((t, _, _)) = popped {
                     frontier = t.seconds();
                 }
             }
-            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(queue.len(), model.len());
         }
-        loop {
-            let a = cal.pop_ranked();
-            let b = heap.pop_ranked();
-            prop_assert_eq!(a, b);
-            if a.is_none() { break; }
+        while let Some(expected) = model.pop() {
+            prop_assert_eq!(queue.pop_ranked(), Some(expected));
         }
+        prop_assert_eq!(queue.pop_ranked(), None);
     }
 
     /// Derived seeds are collision-free over a sizeable index range.

@@ -17,8 +17,9 @@
 //!    protocol layer.
 //! 3. **A served lane**: [`serve::serve`] over an in-memory light-load
 //!    stream — idle gaps, heartbeats, `stats` records, admits and
-//!    completions — under SSF-EDF, SRPT, Edge-Only and Random on a flat
-//!    platform and under SSF-EDF on a two-tier one. A lane forgets its
+//!    completions — under SSF-EDF, SRPT, Edge-Only, Random, Greedy, Fcfs
+//!    and Cloud-Only on a flat platform and under SSF-EDF on a two-tier
+//!    one. A lane forgets its
 //!    finished jobs at each idle point and reuses their storage, so once
 //!    warm it allocates only when a busy period reaches a new high-water
 //!    mark; the exact count over lines 1,001–2,000 is pinned, and lines
@@ -26,6 +27,10 @@
 //! 4. **Finishing a run**: [`Session::into_outcome`] of a drained batch
 //!    session lays the schedule out in a fixed number of allocations,
 //!    the same at n = 500 and at n = 5,000.
+//! 5. **A whole batch run**: one SRPT [`Simulation::run`] allocates only
+//!    when a buffer grows by doubling, so its count at n = 5,000 exceeds
+//!    the one at n = 500 by a few doublings per buffer, not by a share of
+//!    the extra jobs.
 //!
 //! Everything runs inside ONE `#[test]` so the counter can't be
 //! contaminated by a concurrently running sibling test.
@@ -102,7 +107,11 @@ fn steady_state_hot_paths_do_not_allocate() {
     served_lane(PolicyKind::EdgeOnly, FLAT, 19);
     served_lane(PolicyKind::Random, FLAT, 1);
     served_lane(PolicyKind::SsfEdf, TWO_TIER, 1);
+    served_lane(PolicyKind::Greedy, FLAT, 1);
+    served_lane(PolicyKind::Fcfs, FLAT, 2);
+    served_lane(PolicyKind::CloudOnly, FLAT, 2);
     finishing_a_run();
+    a_whole_batch_run();
 }
 
 /// serve-steady's platform: two unit-speed edges, two speed-2 clouds.
@@ -308,5 +317,38 @@ fn finishing_a_run() {
         small, large,
         "into_outcome must allocate a fixed number of times: {small} \
          allocation event(s) at n = 500, {large} at n = 5,000"
+    );
+}
+
+/// Regime 5: the allocation events of one whole SRPT [`Simulation::run`]
+/// over `n` random-CCR jobs; the instance and the policy are built
+/// outside the count.
+fn run_allocs(n: usize) -> u64 {
+    let inst = RandomCcrConfig {
+        n,
+        ..RandomCcrConfig::default()
+    }
+    .generate(1);
+    let mut policy = PolicyKind::Srpt.build(1);
+    alloc_events(|| {
+        let outcome = Simulation::of(&inst)
+            .policy(policy.as_mut())
+            .run()
+            .expect("SRPT drains every random-CCR instance");
+        assert!(outcome.schedule.all_finished());
+    })
+}
+
+/// Regime 5: a batch run allocates for buffer growth only. Ten times the
+/// jobs adds 50 events: every buffer filled one push at a time (the event
+/// queue's heap, the job arena's ten columns, the trace log) doubles
+/// three or four more times. Nothing is allocated per job or per event.
+fn a_whole_batch_run() {
+    let (small, large) = (run_allocs(500), run_allocs(5_000));
+    assert_eq!(
+        (small, large),
+        (170, 220),
+        "a whole SRPT batch run allocates only when a buffer doubles: \
+         saw {small} allocation event(s) at n = 500 and {large} at n = 5,000"
     );
 }

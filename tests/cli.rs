@@ -425,6 +425,44 @@ fn out_of_range_instance_fields_exit_with_the_validation_code() {
 }
 
 #[test]
+fn overlapping_windows_exit_with_the_validation_code() {
+    let dir = std::env::temp_dir().join(format!("mmsec-overlap-inst-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let inst = dir.join("inst.txt");
+    // Two overlapping windows on one cloud are a typed parse error at
+    // the later window's line (exit 4), never a constructor panic (101).
+    std::fs::write(
+        &inst,
+        "edge 1\ncloud 1\nwindow 0 1 5\nwindow 0 3 8\njob 0 0 1 0 0\n",
+    )
+    .unwrap();
+    let out = mmsec()
+        .args(["run", "--instance", inst.to_str().unwrap()])
+        .args(["--policy", "srpt"])
+        .output()
+        .expect("run runs");
+    assert_eq!(out.status.code(), Some(4));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 4"), "{stderr}");
+    assert!(stderr.contains("overlaps"), "{stderr}");
+    // The same windows in a trace's spec record: a typed reject too.
+    let trace = dir.join("trace.ndjson");
+    std::fs::write(
+        &trace,
+        "{\"type\":\"spec\",\"edges\":1,\"clouds\":1,\"unavail\":\"0:1:5;0:3:8\"}\n",
+    )
+    .unwrap();
+    let out = mmsec()
+        .args(["trace", "import", "--trace", trace.to_str().unwrap()])
+        .output()
+        .expect("import runs");
+    assert_eq!(out.status.code(), Some(4));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("overlapping"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_export_import_round_trips_through_the_binary() {
     let dir = std::env::temp_dir().join(format!("mmsec-trace-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
